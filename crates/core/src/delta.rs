@@ -274,7 +274,6 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
 
     /// Wraps a frozen index with an explicit delta configuration.
     pub fn with_config(base: NsgIndex<D, S>, config: DeltaConfig) -> Self {
-        // lint:allow(dyn-distance): one-time metric copy at construction keeps the hot paths monomorphized
         let metric = base.metric().clone();
         let dim = base.base().dim();
         Self {

@@ -1,32 +1,10 @@
 //! Single source of truth for the on-disk format constants.
 //!
-//! Every magic number, section tag and fixed header size of the three
-//! serialized layouts lives here; the encoder ([`crate::serialize`],
-//! [`crate::snapshot`]) and the decoders both read from this table, so the
-//! formats cannot drift apart.
+//! Every magic number, section tag and fixed header size of the NSG2
+//! snapshot lives here; the writer and the reader in [`crate::snapshot`]
+//! both read from this table, so they cannot drift apart.
 //!
-//! # Layouts (all integers little-endian)
-//!
-//! **NSG1 — streaming graph** (record-oriented, decoded with one bounded pass)
-//!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 4    | magic `"NSG1"` ([`GRAPH_MAGIC`]) |
-//! | 4      | 4    | navigating node id |
-//! | 8      | 4    | node count `n` |
-//! | 12     | …    | `n` records: `u32` degree, then that many `u32` neighbor ids |
-//!
-//! **NSQ8 — SQ8 quantized store** (follows an NSG1 section in the quantized
-//! composite; embedded byte-for-byte as one section of an NSG2 snapshot)
-//!
-//! | offset | size    | field |
-//! |-------:|--------:|-------|
-//! | 0      | 4       | magic `"NSQ8"` ([`SQ8_MAGIC`]) |
-//! | 4      | 4       | dimension `d` |
-//! | 8      | 4       | vector count `n` |
-//! | 12     | 4·d     | per-dimension `min` (`f32`) |
-//! | 12+4d  | 4·d     | per-dimension `scale` (`f32`) |
-//! | 12+8d  | n·d     | row-major code arena (`u8`) |
+//! # Layout (all integers little-endian)
 //!
 //! **NSG2 — aligned zero-copy snapshot** (mapped, never parsed per-record)
 //!
@@ -53,28 +31,23 @@
 //!
 //! | tag | contents |
 //! |-----|----------|
-//! | [`SEC_META`] | the 12-byte NSG1 header embedded byte-for-byte (magic, navigating node, `n`), then `u32` dim, `u32` metric code, `u32` flags ([`FLAG_HAS_SQ8`]), `u64` edge count `m`, `u32` reserved — [`META_LEN`] bytes |
+//! | [`SEC_META`] | `u32` navigating node, `u32` node count `n`, `u32` dim `d`, `u32` metric code, `u32` flags ([`FLAG_HAS_SQ8`]), `u64` edge count `m`, `u32` reserved — [`META_LEN`] bytes |
 //! | [`SEC_GRAPH_OFFSETS`] | `n + 1` `u32` CSR row offsets |
-//! | [`SEC_GRAPH_TARGETS`] | `m` `u32` neighbor ids — the byte-identical concatenation of the NSG1 records' id runs |
+//! | [`SEC_GRAPH_TARGETS`] | `m` `u32` neighbor ids, row after row |
 //! | [`SEC_VECTORS`] | `n·d` `f32` row-major base vectors |
-//! | [`SEC_SQ8`] | a full NSQ8 payload embedded byte-for-byte (optional; present iff [`FLAG_HAS_SQ8`]) |
+//! | [`SEC_SQ8`] | `d` `f32` per-dimension `min`, `d` `f32` per-dimension `scale`, then `n·d` `u8` row-major codes — exactly `8d + n·d` bytes (optional; present iff [`FLAG_HAS_SQ8`]) |
+//!
+//! Table 2 of the paper counts the graph alone: here that is the GOFF and
+//! GTGT payloads, `4(n + 1) + 4m` bytes.
 
 use nsg_vectors::DistanceKind;
-
-/// Magic number of the streaming graph format ("NSG1").
-pub const GRAPH_MAGIC: u32 = 0x4E53_4731;
-
-/// Magic number of the SQ8 quantized-store section ("NSQ8").
-pub const SQ8_MAGIC: u32 = 0x4E53_5138;
 
 /// Magic number of the aligned zero-copy snapshot format ("NSG2").
 pub const SNAPSHOT_MAGIC: u32 = 0x4E53_4732;
 
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// Fixed NSG1 / NSQ8 header size: magic + two `u32` fields.
-pub const HEADER_LEN: usize = 12;
+/// Current snapshot format version. Version 1 embedded the retired
+/// streaming headers in META and the SQ8 section; it is refused on open.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Fixed NSG2 file header size: magic, version, section count, reserved.
 pub const SNAPSHOT_HEADER_LEN: usize = 16;
@@ -99,18 +72,18 @@ pub const SEC_GRAPH_TARGETS: u32 = four_cc(*b"GTGT");
 /// Snapshot section tag: flat `f32` base vectors (FourCC "VECS").
 pub const SEC_VECTORS: u32 = four_cc(*b"VECS");
 
-/// Snapshot section tag: embedded NSQ8 payload (FourCC "NSQ8").
-pub const SEC_SQ8: u32 = four_cc(*b"NSQ8");
+/// Snapshot section tag: SQ8 affine parameters and codes (FourCC "SQ8C").
+pub const SEC_SQ8: u32 = four_cc(*b"SQ8C");
 
-/// META payload length: NSG1 header (12) + dim (4) + metric (4) + flags (4)
-/// + edge count (8) + reserved (4).
-pub const META_LEN: usize = 36;
+/// META payload length: navigating node (4) + `n` (4) + dim (4) + metric (4)
+/// + flags (4) + edge count (8) + reserved (4).
+pub const META_LEN: usize = 32;
 
 /// META flag bit: an [`SEC_SQ8`] section is present.
 pub const FLAG_HAS_SQ8: u32 = 1;
 
 /// Builds a FourCC tag the way the magics above are spelled: big-endian byte
-/// order of the ASCII name, so `four_cc(*b"NSG1") == GRAPH_MAGIC`.
+/// order of the ASCII name, so `four_cc(*b"NSG2") == SNAPSHOT_MAGIC`.
 pub const fn four_cc(name: [u8; 4]) -> u32 {
     u32::from_be_bytes(name)
 }
@@ -140,9 +113,8 @@ mod tests {
 
     #[test]
     fn magics_spell_their_ascii_names() {
-        assert_eq!(four_cc(*b"NSG1"), GRAPH_MAGIC);
-        assert_eq!(four_cc(*b"NSQ8"), SQ8_MAGIC);
         assert_eq!(four_cc(*b"NSG2"), SNAPSHOT_MAGIC);
+        assert_eq!(SNAPSHOT_MAGIC, 0x4E53_4732);
         assert_eq!(SEC_META, u32::from_be_bytes(*b"META"));
     }
 

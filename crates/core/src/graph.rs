@@ -260,8 +260,9 @@ impl GraphView for DirectedGraph {
 /// `targets[offsets[v] .. offsets[v + 1]]` is the out-neighbor list of `v`.
 /// All lists live in **one** contiguous arena, so the per-hop neighbor
 /// expansion of Algorithm 1 streams through a single dense `u32` run —
-/// no per-node heap pointer, no per-node allocation on load, and a layout
-/// the on-disk format of [`crate::serialize`] maps onto record-for-record.
+/// no per-node heap pointer, no per-node allocation on load, and the exact
+/// layout of the NSG2 snapshot's GOFF/GTGT sections ([`crate::snapshot`]),
+/// so a mapped file is traversed in place.
 ///
 /// A `CompactGraph` is immutable by design: build with [`DirectedGraph`],
 /// freeze once via [`CompactGraph::from_directed`] (or `From<&DirectedGraph>`),
@@ -337,21 +338,6 @@ impl CompactGraph {
             targets.extend_from_slice(list);
             offsets.push(targets.len() as u32);
         }
-        Self { offsets: Arena::from_vec(offsets), targets: Arena::from_vec(targets) }
-    }
-
-    /// Assembles a graph from already-validated CSR parts (the streaming
-    /// deserializer validates while filling, so re-walking the arena here
-    /// would be redundant).
-    ///
-    /// Invariants the caller must uphold: `offsets` is non-empty, starts at
-    /// 0, is non-decreasing, ends at `targets.len()`, and every target is
-    /// `< offsets.len() - 1`.
-    pub(crate) fn from_validated_parts(offsets: Vec<u32>, targets: Vec<u32>) -> Self {
-        debug_assert!(!offsets.is_empty() && offsets[0] == 0);
-        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(targets.len()));
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(targets.iter().all(|&u| (u as usize) < offsets.len() - 1));
         Self { offsets: Arena::from_vec(offsets), targets: Arena::from_vec(targets) }
     }
 

@@ -1,7 +1,7 @@
 //! Core contribution of the paper: the Monotonic Relative Neighborhood Graph
 //! (MRNG) and its practical approximation, the Navigating Spreading-out Graph
 //! (NSG), together with the shared greedy search routine (Algorithm 1), graph
-//! analytics, serialization and sharded (distributed-style) search.
+//! analytics, zero-copy NSG2 snapshots and sharded (distributed-style) search.
 
 // Every `unsafe` operation inside an `unsafe fn` must carry its own block
 // (and, per the lint gate's R4, its own SAFETY comment). Core's only unsafe
@@ -17,7 +17,6 @@ pub mod mrng;
 pub mod neighbor;
 pub mod nsg;
 pub mod search;
-pub mod serialize;
 pub mod sharded;
 pub mod snapshot;
 pub mod stats;
@@ -35,4 +34,4 @@ pub use search::{
     search_on_graph, search_on_graph_into, SearchParams, SearchResult, SearchStats, VisitedSet,
 };
 pub use sharded::ShardedNsg;
-pub use snapshot::{write_snapshot, write_quantized_snapshot, Snapshot};
+pub use snapshot::{write_quantized_snapshot, write_snapshot, SerializeError, Snapshot};

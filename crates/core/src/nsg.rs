@@ -256,7 +256,7 @@ impl<D: Distance + Sync> NsgIndex<D> {
         // Step iv: DFS tree spanning from the navigating node; reconnect
         // unreachable nodes through their nearest reachable neighbor.
         let phase_started = Instant::now();
-        Self::ensure_connectivity(&mut graph, &base, navigating_node, params.build_pool_size, &metric);
+        Self::ensure_connectivity(&mut graph, &base, navigating_node, params.build_pool_size, m, &metric);
         publish_phase_nanos("nsg_build_repair_nanos", phase_started);
 
         // Construction is done: freeze the mutable adjacency into the
@@ -309,11 +309,17 @@ impl<D: Distance + Sync> NsgIndex<D> {
     }
 
     /// The tree-spanning connectivity repair of Algorithm 2 (lines 24–32).
+    ///
+    /// Each unreachable node gets one in-edge from the nearest reachable
+    /// node the repair search found whose out-degree is still below
+    /// `max_degree`; only when every such candidate is full does it fall
+    /// back to the nearest one, exceeding the cap by that one edge.
     fn ensure_connectivity(
         graph: &mut DirectedGraph,
         base: &VectorSet,
         navigating_node: u32,
         pool_size: usize,
+        max_degree: usize,
         metric: &D,
     ) {
         let n = graph.num_nodes();
@@ -337,21 +343,27 @@ impl<D: Distance + Sync> NsgIndex<D> {
                 metric,
                 &mut ctx,
             );
-            let attach = result
-                .neighbors
-                .iter()
-                .map(|nb| nb.id)
-                .chain(collected.iter().map(|nb| nb.id))
-                .find(|&id| id != v && reachable[id as usize])
-                .unwrap_or(navigating_node);
+            let candidates = || {
+                result
+                    .neighbors
+                    .iter()
+                    .chain(&collected)
+                    .filter(|nb| nb.id != v && reachable[nb.id as usize])
+            };
+            let attach = candidates()
+                .filter(|nb| graph.neighbors(nb.id).len() < max_degree)
+                .min_by(|a, b| Neighbor::ordering(a, b))
+                .or_else(|| candidates().next())
+                .map_or(navigating_node, |nb| nb.id);
             graph.add_edge(attach, v);
             // Everything newly reachable through v is now in the tree.
             Self::dfs_mark(graph, v, &mut reachable);
         }
     }
 
-    /// Reassembles an index from its serialized parts (see
-    /// [`crate::serialize`]); the traversal store is the base set itself.
+    /// Reassembles an index from a frozen graph and its base set (for
+    /// example the views of an opened [`crate::snapshot::Snapshot`]); the
+    /// traversal store is the base set itself.
     pub fn from_parts(
         base: Arc<VectorSet>,
         metric: D,
@@ -402,9 +414,9 @@ impl<D: Distance + Sync, S: VectorStore> NsgIndex<D, S> {
         self.metric.kind()
     }
 
-    /// Reassembles an index from its serialized parts together with an
-    /// explicit traversal store (the quantized-deserialization path; see
-    /// [`crate::serialize`]).
+    /// Reassembles an index from its parts together with an explicit
+    /// traversal store (the path [`crate::snapshot::Snapshot::into_index`]
+    /// takes for quantized snapshots).
     ///
     /// # Panics
     /// Panics if the graph, store and base set disagree on the node count,
@@ -535,6 +547,29 @@ mod tests {
         // graph must stay close to the cap and far below the kNN degree.
         assert!(index.graph().max_out_degree() <= params.max_degree + 4);
         assert!(index.graph().average_out_degree() <= params.max_degree as f64);
+    }
+
+    #[test]
+    fn connectivity_repair_skips_reachable_nodes_already_at_the_degree_cap() {
+        // Points on a line at x = 0, 1, 2, 3. Nodes 0..=2 are reachable from
+        // the navigating node 0; node 3 is not. Its nearest reachable node,
+        // 2, already has m = 2 out-edges, so the repair must attach 3 to the
+        // next nearest reachable node with room: 1 (degree 1).
+        let base = VectorSet::from_rows(1, &[[0.0f32], [1.0], [2.0], [3.0]]);
+        let mut graph = DirectedGraph::from_adjacency(vec![vec![1], vec![2], vec![0, 1], vec![]]);
+        let m = 2;
+        NsgIndex::<SquaredEuclidean>::ensure_connectivity(&mut graph, &base, 0, 8, m, &SquaredEuclidean);
+        assert_eq!(graph.neighbors(1), &[2, 3]);
+        assert_eq!(graph.neighbors(2), &[0, 1], "a full node must not gain the repair edge");
+        assert!((0..4).all(|v| graph.neighbors(v).len() <= m));
+        assert_eq!(stats::reachable_count(&graph, 0), 4);
+
+        // When every reachable candidate is full, the nearest one takes the
+        // edge anyway: reachability outranks the cap.
+        let mut graph = DirectedGraph::from_adjacency(vec![vec![1, 2], vec![0, 2], vec![0, 1], vec![]]);
+        NsgIndex::<SquaredEuclidean>::ensure_connectivity(&mut graph, &base, 0, 8, m, &SquaredEuclidean);
+        assert_eq!(graph.neighbors(2), &[0, 1, 3]);
+        assert_eq!(stats::reachable_count(&graph, 0), 4);
     }
 
     #[test]

@@ -132,14 +132,14 @@ impl<D: Distance + Sync + Clone, S: VectorStore> AnnIndex for ShardedNsg<D, S> {
                 query,
                 &[shard.navigating_node()],
                 params,
-                shard.metric(), // lint:allow(dyn-distance): NsgIndex accessor returning the concrete DistanceKind, not a trait object
+                shard.metric(),
                 ctx,
             );
             // Two-phase: rescore this shard's candidates against its retained
             // rows (in place on `ctx.results` — `ctx.scored` keeps the global
             // merge) before remapping to global ids.
             if request.rerank_factor() > 1 {
-                exact_rerank(ctx, shard.base(), shard.metric(), query, request.k); // lint:allow(dyn-distance): NsgIndex accessor returning the concrete DistanceKind, not a trait object
+                exact_rerank(ctx, shard.base(), shard.metric(), query, request.k);
             }
             stats.accumulate(ctx.stats);
             // Remap the shard-local answer to global ids into the merge

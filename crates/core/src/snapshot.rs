@@ -1,20 +1,19 @@
-//! Aligned zero-copy snapshots (the NSG2 format).
+//! Aligned zero-copy snapshots (the NSG2 format) — the one on-disk form of
+//! an index.
 //!
-//! The streaming NSG1/NSQ8 formats of [`crate::serialize`] materialize every
-//! arena through a decode — O(index) copies on each load. A snapshot instead
-//! lays the frozen query-time arenas out *exactly as the index reads them*
-//! (CSR offsets, edge arena, flat `f32` rows, SQ8 payload), each section
-//! padded to a 64-byte boundary and described by a section table
-//! (see [`crate::format`] for the byte-level layout). Opening one is O(1) in
-//! the index size:
+//! A snapshot lays the frozen query-time arenas out *exactly as the index
+//! reads them* (CSR offsets, edge arena, flat `f32` rows, SQ8 parameters and
+//! codes), each section padded to a 64-byte boundary and described by a
+//! section table (see [`crate::format`] for the byte-level layout). Opening
+//! one is O(1) in the index size:
 //!
 //! 1. [`MappedRegion::open`] maps the file (`mmap(2)`, or the aligned-copy
 //!    fallback on platforms without it),
-//! 2. the section *table* — not the payloads — is validated at the same
-//!    bounded-decode bar as the streaming formats: every offset/length is
-//!    checked against the bytes actually present, alignments are enforced,
-//!    sections may not overlap, and the claimed counts must agree across
-//!    sections **before** a single payload byte is touched,
+//! 2. the section *table* — not the payloads — is validated as untrusted
+//!    input: every offset/length is checked against the bytes actually
+//!    present, alignments are enforced, sections may not overlap, and every
+//!    section length must equal exactly what META's counts imply **before**
+//!    a single payload byte is touched,
 //! 3. borrowed [`CompactGraph`] / [`VectorSet`] / [`Sq8VectorSet`] views are
 //!    constructed over the mapped arenas ([`nsg_vectors::Arena`] makes
 //!    borrowed and owned the same type, so the whole query path is unchanged
@@ -31,15 +30,14 @@
 //! panic, never undefined behavior).
 
 use crate::format::{
-    metric_code, metric_from_code, FLAG_HAS_SQ8, GRAPH_MAGIC, HEADER_LEN, META_LEN,
-    SECTION_ALIGN, SECTION_ENTRY_LEN, SEC_GRAPH_OFFSETS, SEC_GRAPH_TARGETS, SEC_META, SEC_SQ8,
-    SEC_VECTORS, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SQ8_MAGIC,
+    metric_code, metric_from_code, FLAG_HAS_SQ8, META_LEN, SECTION_ALIGN, SECTION_ENTRY_LEN,
+    SEC_GRAPH_OFFSETS, SEC_GRAPH_TARGETS, SEC_META, SEC_SQ8, SEC_VECTORS, SNAPSHOT_HEADER_LEN,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use crate::graph::CompactGraph;
 use crate::index::AnnIndex;
 use crate::nsg::NsgIndex;
 use crate::nsg::NsgParams;
-use crate::serialize::SerializeError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use nsg_vectors::quant::Sq8VectorSet;
 use nsg_vectors::{
@@ -49,6 +47,37 @@ use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
+
+/// Errors returned by the snapshot writer and reader.
+#[derive(Debug)]
+pub enum SerializeError {
+    /// Underlying I/O failure.
+    Io(std::io::Error),
+    /// The bytes are not a valid snapshot.
+    Corrupt(String),
+    /// The in-memory index cannot be represented in the on-disk format
+    /// (a count exceeds its `u32` field), so writing it would silently
+    /// truncate into garbage.
+    TooLarge(String),
+}
+
+impl std::fmt::Display for SerializeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SerializeError::Io(e) => write!(f, "i/o error: {e}"),
+            SerializeError::Corrupt(msg) => write!(f, "corrupt index: {msg}"),
+            SerializeError::TooLarge(msg) => write!(f, "graph too large for the format: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for SerializeError {}
+
+impl From<std::io::Error> for SerializeError {
+    fn from(e: std::io::Error) -> Self {
+        SerializeError::Io(e)
+    }
+}
 
 /// Rounds `len` up to the next multiple of [`SECTION_ALIGN`].
 fn align_up(len: usize) -> usize {
@@ -70,9 +99,8 @@ fn wide(x: usize) -> u64 {
 /// `base` rows are always present (the quantized query path needs them for
 /// exact reranking).
 ///
-/// Cross-checks the same invariants the streaming encoder enforces: the
-/// graph, base set and store must agree on `n`, counts must fit the `u32`
-/// on-disk fields, and the navigating node must be in range.
+/// The graph, base set and store must agree on `n`, counts must fit the
+/// `u32` on-disk fields, and the navigating node must be in range.
 pub fn snapshot_to_bytes(
     graph: &CompactGraph,
     navigating_node: u32,
@@ -100,34 +128,28 @@ pub fn snapshot_to_bytes(
     if u32::try_from(edges).is_err() {
         return Err(SerializeError::TooLarge(format!("{edges} total edges exceed u32")));
     }
-    let sq8_bytes = match sq8 {
-        Some(store) => {
-            if store.len() != n {
-                return Err(SerializeError::Corrupt(format!(
-                    "graph has {n} nodes but the SQ8 store holds {} vectors",
-                    store.len()
-                )));
-            }
-            if store.dim() != base.dim() {
-                return Err(SerializeError::Corrupt(format!(
-                    "base dimension {} but SQ8 dimension {}",
-                    base.dim(),
-                    store.dim()
-                )));
-            }
-            Some(crate::serialize::sq8_to_bytes(store)?)
+    if let Some(store) = sq8 {
+        if store.len() != n {
+            return Err(SerializeError::Corrupt(format!(
+                "graph has {n} nodes but the SQ8 store holds {} vectors",
+                store.len()
+            )));
         }
-        None => None,
-    };
+        if store.dim() != base.dim() {
+            return Err(SerializeError::Corrupt(format!(
+                "base dimension {} but SQ8 dimension {}",
+                base.dim(),
+                store.dim()
+            )));
+        }
+    }
 
-    // META payload: the NSG1 header byte-for-byte, then the snapshot fields.
     let mut meta = BytesMut::with_capacity(META_LEN);
-    meta.put_u32_le(GRAPH_MAGIC);
     meta.put_u32_le(navigating_node);
     meta.put_u32_le(n32);
     meta.put_u32_le(dim32);
     meta.put_u32_le(metric_code(metric));
-    meta.put_u32_le(if sq8_bytes.is_some() { FLAG_HAS_SQ8 } else { 0 });
+    meta.put_u32_le(if sq8.is_some() { FLAG_HAS_SQ8 } else { 0 });
     meta.put_u64_le(wide(edges));
     meta.put_u32_le(0); // reserved
 
@@ -138,8 +160,8 @@ pub fn snapshot_to_bytes(
         (SEC_GRAPH_TARGETS, 4, edges * 4),
         (SEC_VECTORS, 4, base.as_flat().len() * 4),
     ];
-    if let Some(payload) = &sq8_bytes {
-        sections.push((SEC_SQ8, 4, payload.len()));
+    if let Some(store) = sq8 {
+        sections.push((SEC_SQ8, 4, store.dim() * 8 + store.as_codes().len()));
     }
 
     let table_end = SNAPSHOT_HEADER_LEN + sections.len() * SECTION_ENTRY_LEN;
@@ -189,8 +211,11 @@ pub fn snapshot_to_bytes(
                 }
             }
             _ => {
-                if let Some(payload) = &sq8_bytes {
-                    buf.put_slice(payload);
+                if let Some(store) = sq8 {
+                    for &x in store.mins().iter().chain(store.scales()) {
+                        buf.put_f32_le(x);
+                    }
+                    buf.put_slice(store.as_codes());
                 }
             }
         }
@@ -494,12 +519,6 @@ fn build_views(
         )));
     }
     let mut cur = &bytes[meta.offset..meta.offset + META_LEN];
-    let graph_magic = cur.get_u32_le();
-    if graph_magic != GRAPH_MAGIC {
-        return Err(SerializeError::Corrupt(format!(
-            "META does not embed an NSG1 header (magic 0x{graph_magic:08x})"
-        )));
-    }
     let navigating_node = cur.get_u32_le();
     let n32 = cur.get_u32_le();
     let dim32 = cur.get_u32_le();
@@ -576,49 +595,34 @@ fn build_views(
     Ok(Snapshot { region, graph, navigating_node, vectors, sq8, metric })
 }
 
-/// Validates the embedded NSQ8 payload's header against META's counts and
-/// borrows its three arenas in place. Mirrors `decode_sq8`'s hardening
-/// (non-finite or negative affine parameters are refused) without copying
-/// the code arena.
+/// Borrows the SQ8 section's three arenas in place. META's counts size the
+/// section, so its length must be exactly `8d + n·d`; non-finite or negative
+/// affine parameters are refused (one NaN `scale` would silently poison every
+/// distance computed against the store), and the code arena is never copied.
 fn borrow_sq8(
     region: &Arc<MappedRegion>,
     sec: Section,
     n32: u32,
     dim32: u32,
 ) -> Result<Sq8VectorSet, SerializeError> {
-    let bytes = region.bytes();
     let n = n32 as usize;
     let dim = dim32 as usize;
-    let want = wide(HEADER_LEN) + u64::from(dim32) * 8 + u64::from(n32) * u64::from(dim32);
+    let want = u64::from(dim32) * 8 + u64::from(n32) * u64::from(dim32);
     if wide(sec.len) != want {
         return Err(SerializeError::Corrupt(format!(
-            "NSQ8 section holds {} bytes but {n} × {dim} codes need {want}",
+            "SQ8 section holds {} bytes but {n} × {dim} codes need {want}",
             sec.len
-        )));
-    }
-    let mut cur = &bytes[sec.offset..sec.offset + HEADER_LEN];
-    let magic = cur.get_u32_le();
-    if magic != SQ8_MAGIC {
-        return Err(SerializeError::Corrupt(format!("bad SQ8 magic 0x{magic:08x}")));
-    }
-    let sq8_dim = cur.get_u32_le();
-    let sq8_n = cur.get_u32_le();
-    if sq8_dim != dim32 || sq8_n != n32 {
-        return Err(SerializeError::Corrupt(format!(
-            "NSQ8 header ({sq8_n} × {sq8_dim}) disagrees with META ({n32} × {dim32})"
         )));
     }
     let corrupt_arena = |what: &str, e: nsg_vectors::ArenaError| {
         SerializeError::Corrupt(format!("cannot borrow {what}: {e}"))
     };
-    let min: Arena<f32> = Arena::borrow_from_region(region, sec.offset + HEADER_LEN, dim)
+    let min: Arena<f32> = Arena::borrow_from_region(region, sec.offset, dim)
         .map_err(|e| corrupt_arena("SQ8 min parameters", e))?;
-    let scale: Arena<f32> =
-        Arena::borrow_from_region(region, sec.offset + HEADER_LEN + dim * 4, dim)
-            .map_err(|e| corrupt_arena("SQ8 scale parameters", e))?;
-    let codes: Arena<u8> =
-        Arena::borrow_from_region(region, sec.offset + HEADER_LEN + dim * 8, n * dim)
-            .map_err(|e| corrupt_arena("SQ8 codes", e))?;
+    let scale: Arena<f32> = Arena::borrow_from_region(region, sec.offset + dim * 4, dim)
+        .map_err(|e| corrupt_arena("SQ8 scale parameters", e))?;
+    let codes: Arena<u8> = Arena::borrow_from_region(region, sec.offset + dim * 8, n * dim)
+        .map_err(|e| corrupt_arena("SQ8 codes", e))?;
     for (i, &lo) in min.as_slice().iter().enumerate() {
         if !lo.is_finite() {
             return Err(SerializeError::Corrupt(format!("non-finite min at dimension {i}")));
@@ -687,23 +691,30 @@ mod tests {
         assert_eq!(snap.sq8().unwrap(), &store);
         assert!(snap.sq8().unwrap().is_borrowed());
         snap.verify().unwrap();
-        // The embedded NSQ8 payload is byte-for-byte the streaming encoding.
-        let legacy = crate::serialize::sq8_to_bytes(&store).unwrap();
-        let hay = bytes.to_vec();
-        assert!(
-            hay.windows(legacy.len()).any(|w| w == &legacy[..]),
-            "NSQ8 payload not embedded byte-for-byte"
-        );
     }
 
     #[test]
     fn sections_are_aligned_and_padded() {
-        let bytes = toy_snapshot_bytes(9, 3, true);
+        // 9 nodes on a bidirectional ring: 18 edges, dimension 3.
+        let (n, m, d) = (9, 18, 3);
+        let bytes = toy_snapshot_bytes(n, d, true);
         let sections = parse_section_table(&bytes).unwrap();
-        assert_eq!(sections.len(), 5);
+        let lens: Vec<(u32, usize)> = sections.iter().map(|s| (s.tag, s.len)).collect();
+        assert_eq!(
+            lens,
+            [
+                (SEC_META, META_LEN),
+                (SEC_GRAPH_OFFSETS, 4 * (n + 1)),
+                (SEC_GRAPH_TARGETS, 4 * m),
+                (SEC_VECTORS, 4 * n * d),
+                (SEC_SQ8, 8 * d + n * d),
+            ]
+        );
         for s in &sections {
             assert_eq!(s.offset % SECTION_ALIGN, 0, "section 0x{:08x} misaligned", s.tag);
         }
+        let last = sections.last().unwrap();
+        assert_eq!(bytes.len(), align_up(last.offset + last.len));
     }
 
     #[test]
@@ -733,9 +744,16 @@ mod tests {
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
-        let mut bad = good.clone();
-        bad[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
+        // A future version and the retired version 1 are both refused.
+        for version in [1u32, 99] {
+            let mut bad = good.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = Snapshot::from_bytes(&bad).unwrap_err();
+            assert!(
+                matches!(&err, SerializeError::Corrupt(msg) if msg.contains("unsupported snapshot version")),
+                "version {version}: expected a version refusal, got {err:?}"
+            );
+        }
 
         // Overstated section count must be bounded by the bytes present.
         let mut bad = good.clone();
@@ -793,6 +811,22 @@ mod tests {
         bad[entry + SECTION_ENTRY_LEN + 8..entry + SECTION_ENTRY_LEN + 16]
             .copy_from_slice(&vec_off);
         assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
+
+        // SQ8 section one byte short of or past `8d + n·d` (both still
+        // inside the file, thanks to the padding).
+        let good = toy_snapshot_bytes(10, 4, true).to_vec();
+        let e4 = entry + 4 * SECTION_ENTRY_LEN + 16;
+        let len = u64::from_le_bytes(good[e4..e4 + 8].try_into().unwrap());
+        assert_eq!(len, 8 * 4 + 10 * 4);
+        for wrong in [len - 1, len + 1] {
+            let mut bad = good.clone();
+            bad[e4..e4 + 8].copy_from_slice(&wrong.to_le_bytes());
+            let err = Snapshot::from_bytes(&bad).unwrap_err();
+            assert!(
+                matches!(&err, SerializeError::Corrupt(msg) if msg.contains("SQ8 section holds")),
+                "SQ8 length {wrong}: expected a length refusal, got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -803,28 +837,41 @@ mod tests {
 
         // Navigating node out of range.
         let mut bad = good.clone();
-        bad[meta + 4..meta + 8].copy_from_slice(&999u32.to_le_bytes());
+        bad[meta..meta + 4].copy_from_slice(&999u32.to_le_bytes());
         assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
 
         // Zero dimension.
         let mut bad = good.clone();
-        bad[meta + 12..meta + 16].copy_from_slice(&0u32.to_le_bytes());
+        bad[meta + 8..meta + 12].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
 
         // Unknown metric code.
         let mut bad = good.clone();
-        bad[meta + 16..meta + 20].copy_from_slice(&7u32.to_le_bytes());
+        bad[meta + 12..meta + 16].copy_from_slice(&7u32.to_le_bytes());
         assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
 
         // Node count inflated: GOFF's length no longer matches.
         let mut bad = good.clone();
-        bad[meta + 8..meta + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[meta + 4..meta + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
 
-        // SQ8 flag cleared while the section is still present.
+        // SQ8 flag cleared while the section is still present, and set on a
+        // snapshot that has no SQ8 section.
+        let disagreement = |bytes: &[u8]| {
+            matches!(
+                Snapshot::from_bytes(bytes),
+                Err(SerializeError::Corrupt(msg)) if msg.contains("SQ8 flag disagrees")
+            )
+        };
         let mut bad = good.clone();
-        bad[meta + 20..meta + 24].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
+        bad[meta + 16..meta + 20].copy_from_slice(&0u32.to_le_bytes());
+        assert!(disagreement(&bad));
+        let flat = toy_snapshot_bytes(10, 4, false).to_vec();
+        let sections = parse_section_table(&flat).unwrap();
+        let meta = sections.iter().find(|s| s.tag == SEC_META).unwrap().offset;
+        let mut bad = flat.clone();
+        bad[meta + 16..meta + 20].copy_from_slice(&FLAG_HAS_SQ8.to_le_bytes());
+        assert!(disagreement(&bad));
     }
 
     #[test]
@@ -832,7 +879,7 @@ mod tests {
         let good = toy_snapshot_bytes(6, 4, true).to_vec();
         let sections = parse_section_table(&good).unwrap();
         let sq8 = sections.iter().find(|s| s.tag == SEC_SQ8).unwrap().offset;
-        let scale0 = sq8 + HEADER_LEN + 4 * 4;
+        let scale0 = sq8 + 4 * 4;
         let mut bad = good.clone();
         bad[scale0..scale0 + 4].copy_from_slice(&f32::NAN.to_bits().to_le_bytes());
         assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
@@ -851,6 +898,13 @@ mod tests {
         bad[goff + 4 * 4..goff + 4 * 4 + 4].copy_from_slice(&hi);
         let snap = Snapshot::from_bytes(&bad).expect("table is still well-formed");
         assert!(snap.verify().is_err(), "verify must catch non-monotone CSR offsets");
+
+        // An edge target past the last node is the other content fault.
+        let gtgt = sections.iter().find(|s| s.tag == SEC_GRAPH_TARGETS).unwrap().offset;
+        let mut bad = good.clone();
+        bad[gtgt..gtgt + 4].copy_from_slice(&10u32.to_le_bytes());
+        let snap = Snapshot::from_bytes(&bad).expect("table is still well-formed");
+        assert!(snap.verify().is_err(), "verify must catch an out-of-range edge target");
     }
 
     #[test]

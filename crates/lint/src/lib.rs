@@ -3,10 +3,11 @@
 //! PRs 2–5 of this reproduction established contracts that keep the system
 //! faithful to the paper and fast — a zero-allocation warm search path,
 //! a single effort→[`SearchParams`] conversion site, checked narrowing in
-//! every decode path, no `dyn Distance` on the query path. This crate makes
-//! those contracts *mechanically* true on every `cargo test`: a hand-rolled
-//! lexer ([`lexer`]) feeds a token-level rule engine ([`rules`]) that walks
-//! every `.rs` file in the workspace and reports `file:line` diagnostics.
+//! every decode path, SIMD kernels only behind the detection table. This
+//! crate makes those contracts *mechanically* true on every `cargo test`: a
+//! hand-rolled lexer ([`lexer`]) feeds a token-level rule engine ([`rules`])
+//! that walks every `.rs` file in the workspace and reports `file:line`
+//! diagnostics.
 //!
 //! Three comment-driven directives steer the engine:
 //!

@@ -1,4 +1,6 @@
-//! The rule set: eight token-level checks encoding the ROADMAP contracts.
+//! The rule set: seven token-level checks encoding the ROADMAP contracts.
+//! (R7 was retired together with the trait-object metric seam it guarded;
+//! the remaining rules keep their numbers.)
 //!
 //! | rule | name                 | contract |
 //! |------|----------------------|----------|
@@ -8,7 +10,6 @@
 //! | R4   | `safety-comment`     | every `unsafe` is adjacent to a `// SAFETY:` justification |
 //! | R5   | `std-sync`           | raw `std::sync` primitives / `thread::spawn` only in `shims/` + `crates/serve` |
 //! | R6   | `no-panic`           | no `unwrap()` / `expect()` / `panic!` in library code |
-//! | R7   | `dyn-distance`       | no `dyn Distance` / `.metric()` outside the audited dispatch module |
 //! | R8   | `simd-dispatch`      | `#[target_feature]` only in the SIMD module; no kernel-table resolution in hot regions |
 //!
 //! All rules run over the analyzed token stream of [`SourceFile`], so text
@@ -20,14 +21,13 @@ use crate::lexer::TokenKind;
 use crate::{FileClass, Finding, SourceFile};
 
 /// Names accepted by `lint:allow(...)`.
-pub const KNOWN_RULES: [&str; 8] = [
+pub const KNOWN_RULES: [&str; 7] = [
     "params-construction",
     "hot-path-alloc",
     "checked-narrowing",
     "safety-comment",
     "std-sync",
     "no-panic",
-    "dyn-distance",
     "simd-dispatch",
 ];
 
@@ -37,8 +37,8 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Rule descriptions in R1..R8 order.
-pub const RULES: [RuleInfo; 8] = [
+/// Rule descriptions in R1..R8 order (R7 retired).
+pub const RULES: [RuleInfo; 7] = [
     RuleInfo {
         name: "params-construction",
         summary: "SearchParams may only be constructed in nsg-core's request/search modules",
@@ -64,10 +64,6 @@ pub const RULES: [RuleInfo; 8] = [
         summary: "no unwrap()/expect()/panic! in library (non-test/bench/bin) code",
     },
     RuleInfo {
-        name: "dyn-distance",
-        summary: "no `dyn Distance` / `.metric()` call sites outside the audited dispatch module",
-    },
-    RuleInfo {
         name: "simd-dispatch",
         summary: "`#[target_feature]` only inside the SIMD module; no kernel-table resolution in hot-path regions",
     },
@@ -79,17 +75,12 @@ const R1_EXEMPT_FILES: [&str; 2] = ["crates/core/src/index.rs", "crates/core/src
 
 /// Decode-path files rule R3 audits. Everything read from bytes or foreign
 /// formats flows through these.
-const R3_FILES: [&str; 5] = [
-    "crates/core/src/serialize.rs",
+const R3_FILES: [&str; 4] = [
     "crates/core/src/format.rs",
     "crates/core/src/snapshot.rs",
     "crates/vectors/src/quant.rs",
     "crates/vectors/src/io.rs",
 ];
-
-/// The one module allowed to name `dyn Distance` / expose `.metric()`: the
-/// audited dispatch layer from PR 5.
-const R7_EXEMPT_FILES: [&str; 1] = ["crates/vectors/src/distance.rs"];
 
 fn finding(sf: &SourceFile<'_>, rule: &'static str, line: u32, message: String) -> Finding {
     Finding { rule, rel_path: sf.rel_path.clone(), line, message }
@@ -108,7 +99,6 @@ pub fn check_file(sf: &SourceFile<'_>) -> Vec<Finding> {
     r4_safety_comment(sf, &mut out);
     r5_std_sync(sf, &mut out);
     r6_no_panic(sf, &mut out);
-    r7_dyn_distance(sf, &mut out);
     r8_simd_dispatch(sf, &mut out);
     out
 }
@@ -341,41 +331,6 @@ fn r6_no_panic(sf: &SourceFile<'_>, out: &mut Vec<Finding>) {
                 "no-panic",
                 sf.code_line(ci),
                 format!("`{t}!` in library code — propagate a typed error instead"),
-            ));
-        }
-    }
-}
-
-/// R7: `dyn Distance` or a `.metric()` call outside the audited dispatch
-/// module. PR 5 monomorphized the query path through `DistanceKind::dispatch`;
-/// trait objects must not creep back in.
-fn r7_dyn_distance(sf: &SourceFile<'_>, out: &mut Vec<Finding>) {
-    if sf.class != FileClass::Library || R7_EXEMPT_FILES.contains(&sf.rel_path.as_str()) {
-        return;
-    }
-    for ci in 0..sf.code.len() {
-        if sf.code_in_test(ci) || sf.code_kind(ci) != TokenKind::Ident {
-            continue;
-        }
-        let t = sf.code_text(ci);
-        if t == "dyn" && sf.code_text(ci + 1) == "Distance" {
-            out.push(finding(
-                sf,
-                "dyn-distance",
-                sf.code_line(ci),
-                "`dyn Distance` outside the audited dispatch module — use DistanceKind::dispatch"
-                    .to_string(),
-            ));
-        } else if t == "metric"
-            && ci > 0
-            && sf.code_is(ci - 1, ".")
-            && sf.code_is(ci + 1, "(")
-        {
-            out.push(finding(
-                sf,
-                "dyn-distance",
-                sf.code_line(ci),
-                "`.metric()` call outside the audited dispatch module".to_string(),
             ));
         }
     }

@@ -22,7 +22,7 @@
 
 use nsg_core::index::AnnIndex;
 use nsg_core::nsg::NsgParams;
-use nsg_core::serialize::SerializeError;
+use nsg_core::SerializeError;
 use nsg_core::snapshot::Snapshot as FileSnapshot;
 use parking_lot::RwLock;
 use std::path::Path;
@@ -193,8 +193,10 @@ mod tests {
                 let handle = Arc::clone(&handle);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
+                    // Check first, then look at `stop`: every reader makes at
+                    // least one check however late it is scheduled.
                     let mut checks = 0u64;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    loop {
                         let snap = handle.load();
                         let res = snap.index.search(&[0.0], &SearchRequest::new(1));
                         assert_eq!(
@@ -202,8 +204,10 @@ mod tests {
                             "torn snapshot: generation/index mismatch"
                         );
                         checks += 1;
+                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                            break checks;
+                        }
                     }
-                    checks
                 })
             })
             .collect();

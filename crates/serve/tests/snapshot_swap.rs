@@ -9,7 +9,7 @@
 
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::nsg::{NsgIndex, NsgParams, QuantizedNsg};
-use nsg_core::serialize::SerializeError;
+use nsg_core::SerializeError;
 use nsg_core::snapshot::{write_quantized_snapshot, write_snapshot, Snapshot as FileSnapshot};
 use nsg_knn::NnDescentParams;
 use nsg_serve::{IndexHandle, ResponseSlot, Server, ServerConfig};

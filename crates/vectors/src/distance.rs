@@ -13,12 +13,8 @@
 //! Search hot loops avoid even this one table read by caching the resolved
 //! table in [`crate::store::QueryScratch`] at `prepare_query` time.
 //!
-//! [`CountingDistance`] wraps any metric and counts evaluations; Figure 8 of
-//! the paper plots the number of distance computations each algorithm needs to
-//! reach a given precision, and that experiment is driven by this wrapper.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! Every index is generic over `D: Distance`, so the metric is chosen at
+//! compile time and the distance loop is monomorphized end to end.
 
 /// The distance functions supported by the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -113,113 +109,7 @@ impl Distance for InnerProduct {
     }
 }
 
-/// Visitor for [`DistanceKind::dispatch`]: implement `visit` once, generically
-/// over the metric, and the dispatcher instantiates it per concrete metric
-/// type — runtime kind selection **without** putting a `Box<dyn Distance>`
-/// virtual call inside the distance loop.
-pub trait DistanceVisitor {
-    /// The result of visiting.
-    type Out;
-    /// Invoked with the statically-typed metric the kind names.
-    fn visit<D: Distance>(self, metric: D) -> Self::Out;
-}
-
-impl DistanceKind {
-    /// Instantiates the metric this kind names as a trait object.
-    ///
-    /// This is a *setup-path* convenience (configuration parsing, bench
-    /// bins): a `Box<dyn Distance>` pays one virtual call per distance
-    /// evaluation, so it must never be threaded into a search loop. Every
-    /// search path in the workspace is generic over `D: Distance` (and,
-    /// since the `VectorStore` refactor, over the store) — audit result:
-    /// no hot-path call sites of this method remain; indices hold concrete
-    /// metric types end to end. For runtime kind selection that stays
-    /// monomorphized, use [`dispatch`](Self::dispatch).
-    pub fn metric(self) -> Box<dyn Distance> {
-        match self {
-            DistanceKind::SquaredEuclidean => Box::new(SquaredEuclidean),
-            DistanceKind::Euclidean => Box::new(Euclidean),
-            DistanceKind::InnerProduct => Box::new(InnerProduct),
-        }
-    }
-
-    /// Runs `visitor` with the statically-typed metric this kind names — the
-    /// monomorphized alternative to [`metric`](Self::metric): the kind is
-    /// branched on **once**, then the visitor body (typically an entire
-    /// index build + query run) executes with full static dispatch.
-    pub fn dispatch<V: DistanceVisitor>(self, visitor: V) -> V::Out {
-        match self {
-            DistanceKind::SquaredEuclidean => visitor.visit(SquaredEuclidean),
-            DistanceKind::Euclidean => visitor.visit(Euclidean),
-            DistanceKind::InnerProduct => visitor.visit(InnerProduct),
-        }
-    }
-}
-
-/// A metric wrapper that atomically counts how many distance evaluations were
-/// performed.
-///
-/// The paper's Figure 8 reports the number of distance computations each
-/// algorithm needs to reach a given precision; search routines accept any
-/// [`Distance`], so threading a `CountingDistance` through them reproduces
-/// that measurement without touching the search code.
-#[derive(Clone)]
-pub struct CountingDistance<D> {
-    inner: D,
-    count: Arc<AtomicU64>,
-}
-
-impl<D: Distance> CountingDistance<D> {
-    /// Wraps `inner`, starting the counter at zero.
-    pub fn new(inner: D) -> Self {
-        Self {
-            inner,
-            count: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Number of distance evaluations since construction or the last
-    /// [`reset`](Self::reset).
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-    }
-
-    /// A handle to the shared counter (useful when the wrapper itself is moved
-    /// into an index).
-    pub fn counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.count)
-    }
-}
-
-impl<D: Distance> Distance for CountingDistance<D> {
-    #[inline]
-    fn distance(&self, a: &[f32], b: &[f32]) -> f32 {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.distance(a, b)
-    }
-
-    fn kind(&self) -> DistanceKind {
-        self.inner.kind()
-    }
-}
-
 impl<D: Distance + ?Sized> Distance for &D {
-    #[inline]
-    fn distance(&self, a: &[f32], b: &[f32]) -> f32 {
-        (**self).distance(a, b)
-    }
-
-    fn kind(&self) -> DistanceKind {
-        (**self).kind()
-    }
-}
-
-impl Distance for Box<dyn Distance> {
     #[inline]
     fn distance(&self, a: &[f32], b: &[f32]) -> f32 {
         (**self).distance(a, b)
@@ -277,55 +167,6 @@ mod tests {
         let a: Vec<f32> = (0..96).map(|i| i as f32).collect();
         assert_eq!(squared_l2(&a, &a), 0.0);
         assert_eq!(Euclidean.distance(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn counting_distance_counts() {
-        let d = CountingDistance::new(SquaredEuclidean);
-        let a = [0.0, 1.0];
-        let b = [1.0, 1.0];
-        assert_eq!(d.count(), 0);
-        let _ = d.distance(&a, &b);
-        let _ = d.distance(&a, &b);
-        assert_eq!(d.count(), 2);
-        d.reset();
-        assert_eq!(d.count(), 0);
-    }
-
-    #[test]
-    fn dispatch_monomorphizes_the_named_metric() {
-        struct Eval<'a> {
-            a: &'a [f32],
-            b: &'a [f32],
-        }
-        impl DistanceVisitor for Eval<'_> {
-            type Out = (DistanceKind, f32);
-            fn visit<D: Distance>(self, metric: D) -> Self::Out {
-                (metric.kind(), metric.distance(self.a, self.b))
-            }
-        }
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 6.0, 3.0];
-        for kind in [
-            DistanceKind::SquaredEuclidean,
-            DistanceKind::Euclidean,
-            DistanceKind::InnerProduct,
-        ] {
-            let (got_kind, dist) = kind.dispatch(Eval { a: &a, b: &b });
-            assert_eq!(got_kind, kind);
-            assert_eq!(dist, kind.metric().distance(&a, &b));
-        }
-    }
-
-    #[test]
-    fn kind_roundtrips_through_metric() {
-        for kind in [
-            DistanceKind::SquaredEuclidean,
-            DistanceKind::Euclidean,
-            DistanceKind::InnerProduct,
-        ] {
-            assert_eq!(kind.metric().kind(), kind);
-        }
     }
 
     #[test]

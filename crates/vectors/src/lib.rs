@@ -55,7 +55,7 @@ pub mod synthetic;
 pub use arena::{Arena, ArenaElem, ArenaError};
 pub use dataset::VectorSet;
 pub use mapped::MappedRegion;
-pub use distance::{CountingDistance, Distance, DistanceKind, Euclidean, InnerProduct, SquaredEuclidean};
+pub use distance::{Distance, DistanceKind, Euclidean, InnerProduct, SquaredEuclidean};
 pub use ground_truth::{exact_knn, exact_knn_single, GroundTruth};
 pub use prefetch::{prefetch_read, prefetch_slice};
 pub use metrics::{precision_at_k, recall_curve};

@@ -84,7 +84,7 @@ pub struct Sq8VectorSet {
     codes: Arena<u8>,
 }
 
-/// Why [`Sq8VectorSet::try_from_parts`] rejected its inputs.
+/// Why [`Sq8VectorSet::try_from_arenas`] rejected its inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Sq8PartsError {
     /// `dim == 0` is unrepresentable.
@@ -174,34 +174,23 @@ impl Sq8VectorSet {
         }
     }
 
-    /// Reassembles a store from its raw parts (the deserialization path).
+    /// Reassembles a store from its raw parts.
     ///
     /// # Panics
     /// Panics if `dim == 0`, the parameter arrays are not `dim`-sized, or the
     /// code arena is not a multiple of `dim`. Decode paths handling untrusted
-    /// bytes must use [`Sq8VectorSet::try_from_parts`] instead.
+    /// bytes must use [`Sq8VectorSet::try_from_arenas`] instead.
     pub fn from_parts(dim: usize, min: Vec<f32>, scale: Vec<f32>, codes: Vec<u8>) -> Self {
         match Self::try_from_arenas(dim, min.into(), scale.into(), codes.into()) {
             Ok(set) => set,
-            Err(e) => panic!("{e}"), // lint:allow(no-panic): documented panicking constructor for trusted builder inputs; decode paths use try_from_parts
+            Err(e) => panic!("{e}"), // lint:allow(no-panic): documented panicking constructor for trusted builder inputs; decode paths use try_from_arenas
         }
     }
 
-    /// Fallible [`Sq8VectorSet::from_parts`]: malformed inputs surface as a
-    /// typed error instead of a panic, so corrupt snapshots are reported, not
-    /// aborted on.
-    pub fn try_from_parts(
-        dim: usize,
-        min: Vec<f32>,
-        scale: Vec<f32>,
-        codes: Vec<u8>,
-    ) -> Result<Self, Sq8PartsError> {
-        Self::try_from_arenas(dim, min.into(), scale.into(), codes.into())
-    }
-
-    /// Arena-level constructor behind both `from_parts` flavors; accepts
-    /// owned vectors and zero-copy views borrowed from a mapped snapshot
-    /// region alike.
+    /// Fallible arena-level constructor behind [`Sq8VectorSet::from_parts`]:
+    /// malformed inputs surface as a typed error instead of a panic, so
+    /// corrupt snapshots are reported, not aborted on. Accepts owned vectors
+    /// and zero-copy views borrowed from a mapped snapshot region alike.
     pub fn try_from_arenas(
         dim: usize,
         min: Arena<f32>,

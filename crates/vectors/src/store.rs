@@ -215,7 +215,7 @@ impl VectorStore for VectorSet {
     /// `OnceLock` read per candidate the free-function kernels would pay.
     /// (Wrapper metrics' `distance` overrides are not consulted on this
     /// path, matching the quantized store; evaluation counting on the store
-    /// path goes through `SearchContext` stats, not `CountingDistance`.)
+    /// path goes through `SearchContext` stats.)
     #[inline]
     // lint:hot-path
     fn dist_to<D: Distance + ?Sized>(&self, metric: &D, scratch: &QueryScratch, id: usize) -> f32 {

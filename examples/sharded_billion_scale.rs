@@ -1,13 +1,14 @@
 //! The distributed-search design of §4.2 / §4.3 in miniature: partition a
 //! large collection into shards, build one NSG per shard, answer queries by
-//! searching every shard and merging, and persist / reload the per-shard
-//! graphs with the compact binary format.
+//! searching every shard and merging, and persist / reload every shard as an
+//! NSG2 snapshot.
 //!
 //! ```sh
 //! cargo run --release --example sharded_billion_scale
 //! ```
 
-use nsg::core::serialize::{graph_from_bytes, graph_to_bytes};
+use nsg::core::snapshot::snapshot_to_bytes;
+use nsg::core::Snapshot;
 use nsg::prelude::*;
 use std::time::Instant;
 
@@ -43,18 +44,31 @@ fn main() {
         elapsed.as_secs_f64() * 1e3 / queries.len() as f64
     );
 
-    // Persist each shard's graph with the compact binary layout and reload it,
-    // as a production deployment would ship indices to serving machines.
+    // Persist each shard as an NSG2 snapshot and reopen it, as a production
+    // deployment would ship indices to serving machines.
     let mut total_bytes = 0usize;
     for (i, shard) in sharded.shards().iter().enumerate() {
-        let bytes = graph_to_bytes(shard.graph(), shard.navigating_node()).expect("fits the format");
+        let bytes = snapshot_to_bytes(
+            shard.graph(),
+            shard.navigating_node(),
+            shard.base(),
+            shard.metric_kind(),
+            None,
+        )
+        .expect("fits the format");
         total_bytes += bytes.len();
-        let (graph, nav) = graph_from_bytes(&bytes).expect("round-trip");
-        assert_eq!(&graph, shard.graph());
-        assert_eq!(nav, shard.navigating_node());
+        let snap = Snapshot::from_bytes(&bytes).expect("round-trip");
+        assert_eq!(snap.graph(), shard.graph());
+        assert_eq!(snap.navigating_node(), shard.navigating_node());
         if i == 0 {
-            println!("shard 0 serialized graph: {} KiB", bytes.len() / 1024);
+            // Table 2's index size: the GOFF + GTGT sections.
+            let graph_bytes = 4 * (shard.graph().num_nodes() + 1) + 4 * shard.graph().num_edges();
+            println!(
+                "shard 0 snapshot: {} KiB, of which the graph is {} KiB",
+                bytes.len() / 1024,
+                graph_bytes / 1024
+            );
         }
     }
-    println!("all {} shard graphs serialize/deserialize losslessly ({} KiB total)", sharded.num_shards(), total_bytes / 1024);
+    println!("all {} shard snapshots reopen losslessly ({} KiB total)", sharded.num_shards(), total_bytes / 1024);
 }

@@ -14,7 +14,7 @@
 //! * [`knn`] — kNN-graph construction (NN-Descent and exact),
 //! * [`core`] — MRNG, NSG, search-on-graph, the query API
 //!   (`SearchRequest` / `Neighbor` / `SearchContext`), graph analytics,
-//!   serialization, sharded search,
+//!   NSG2 snapshots, sharded search,
 //! * [`baselines`] — the compared methods (KD-trees, LSH, IVF-PQ, KGraph,
 //!   Efanna, NSW, HNSW, FANNG, DPG, NSG-Naive, serial scan),
 //! * [`eval`] — QPS/precision sweeps, scaling fits, report emission,

@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: the full NSG pipeline (synthetic data →
 //! NN-Descent → Algorithm 2 → search → precision) and its interaction with
-//! serialization and sharding.
+//! NSG2 snapshots and sharding.
 
-use nsg::core::serialize::{graph_from_bytes, graph_to_bytes, load_graph, save_graph};
+use nsg::core::snapshot::snapshot_to_bytes;
+use nsg::core::{write_snapshot, Snapshot};
 use nsg::core::stats::reachable_count;
 use nsg::knn::NnDescentParams;
 use nsg::prelude::*;
@@ -63,9 +64,22 @@ fn serialized_index_answers_identically_after_reload() {
     let base = Arc::new(base);
     let index = NsgIndex::build(Arc::clone(&base), SquaredEuclidean, test_params());
 
-    let bytes = graph_to_bytes(index.graph(), index.navigating_node()).expect("encodable graph");
-    let (graph, nav) = graph_from_bytes(&bytes).expect("valid serialized graph");
-    let reloaded = NsgIndex::from_parts(Arc::clone(&base), SquaredEuclidean, graph, nav, *index.params());
+    let bytes = snapshot_to_bytes(
+        index.graph(),
+        index.navigating_node(),
+        index.base(),
+        index.metric_kind(),
+        None,
+    )
+    .expect("encodable index");
+    let snap = Snapshot::from_bytes(&bytes).expect("valid snapshot");
+    let reloaded = NsgIndex::from_parts(
+        Arc::clone(&base),
+        SquaredEuclidean,
+        snap.graph().clone(),
+        snap.navigating_node(),
+        *index.params(),
+    );
 
     let request = SearchRequest::new(10).with_effort(100);
     for q in 0..queries.len() {
@@ -77,8 +91,9 @@ fn serialized_index_answers_identically_after_reload() {
 
 #[test]
 fn on_disk_persistence_roundtrip_reproduces_identical_neighbors() {
-    // Full persistence cycle: build -> save_graph -> load_graph -> from_parts
-    // must reproduce bit-identical scored `Neighbor` answers on 50 queries.
+    // Full persistence cycle: build -> write_snapshot -> Snapshot::open ->
+    // into_index must reproduce bit-identical scored `Neighbor` answers and
+    // search costs on 50 queries.
     let (base, queries) = base_and_queries(SyntheticKind::DeepLike, 1200, 50, 99);
     assert_eq!(queries.len(), 50);
     let base = Arc::new(base);
@@ -87,11 +102,12 @@ fn on_disk_persistence_roundtrip_reproduces_identical_neighbors() {
     let dir = std::env::temp_dir().join(format!("nsg_persist_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("index.nsg");
-    save_graph(&path, index.graph(), index.navigating_node()).expect("save");
-    let (graph, nav) = load_graph(&path).expect("load");
-    assert_eq!(&graph, index.graph());
-    assert_eq!(nav, index.navigating_node());
-    let reloaded = NsgIndex::from_parts(Arc::clone(&base), SquaredEuclidean, graph, nav, *index.params());
+    write_snapshot(&path, &index).expect("save");
+    let snap = Snapshot::open(&path).expect("open");
+    assert_eq!(snap.graph(), index.graph());
+    assert_eq!(snap.navigating_node(), index.navigating_node());
+    assert_eq!(snap.vectors(), &*base);
+    let reloaded = snap.into_index(*index.params());
 
     // Compare through reused contexts on both sides — the serving path.
     let request = SearchRequest::new(10).with_effort(120).with_stats();

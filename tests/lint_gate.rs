@@ -1,5 +1,5 @@
 //! The static-analysis gate: runs `nsg-lint` over the entire workspace
-//! checkout, so `cargo test` *is* the R1–R7 invariant check. CI's dedicated
+//! checkout, so `cargo test` *is* the R1–R8 invariant check. CI's dedicated
 //! `lint-gate` step runs the same engine through the binary; they can never
 //! disagree.
 

@@ -151,43 +151,27 @@ proptest! {
         prop_assert_eq!(frozen.to_directed(), nested);
     }
 
-    /// Serialization through the CSR path is byte-identical to the original
-    /// nested-`Vec` on-disk format: same magic, same header, same per-node
-    /// records — files written before the frozen-graph refactor stay
-    /// readable, and both representations encode the same stream.
+    /// An arbitrary CSR graph (empty rows, duplicate edges and self-loops
+    /// included) round-trips through an NSG2 snapshot: the GOFF/GTGT
+    /// sections reopen as the same frozen graph and navigating node, and
+    /// the deep content check accepts them.
     #[test]
-    fn csr_serialization_is_byte_identical_to_the_legacy_format(
+    fn csr_graph_round_trips_through_a_snapshot(
         lists in adjacency(),
         nav_pick in 0usize..40,
     ) {
-        use nsg::core::serialize::{graph_from_bytes, graph_to_bytes};
+        use nsg::core::snapshot::snapshot_to_bytes;
 
-        let nested = DirectedGraph::from_adjacency(lists.clone());
-        let frozen = CompactGraph::from(&nested);
-        let nav = (nav_pick % nested.num_nodes()) as u32;
-
-        // The legacy encoder, spelled out: magic "NSG1", navigating node,
-        // node count, then per node a u32 degree + the neighbor ids, all LE.
-        let mut legacy: Vec<u8> = Vec::new();
-        legacy.extend_from_slice(&0x4E53_4731u32.to_le_bytes());
-        legacy.extend_from_slice(&nav.to_le_bytes());
-        legacy.extend_from_slice(&(lists.len() as u32).to_le_bytes());
-        for list in &lists {
-            legacy.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            for &u in list {
-                legacy.extend_from_slice(&u.to_le_bytes());
-            }
-        }
-
-        let from_frozen = graph_to_bytes(&frozen, nav).unwrap();
-        let from_nested = graph_to_bytes(&nested, nav).unwrap();
-        prop_assert_eq!(&from_frozen[..], &legacy[..], "CSR encoder diverged from the legacy bytes");
-        prop_assert_eq!(&from_nested[..], &legacy[..], "nested encoder diverged from the legacy bytes");
-
-        // A legacy file decodes into the same frozen graph + navigating node.
-        let (decoded, decoded_nav) = graph_from_bytes(&legacy).unwrap();
-        prop_assert_eq!(&decoded, &frozen);
-        prop_assert_eq!(decoded_nav, nav);
+        let frozen = CompactGraph::from_adjacency(lists);
+        let nav = (nav_pick % frozen.num_nodes()) as u32;
+        let base = nsg::vectors::synthetic::uniform(frozen.num_nodes(), 2, 1);
+        let bytes =
+            snapshot_to_bytes(&frozen, nav, &base, nsg::vectors::DistanceKind::SquaredEuclidean, None)
+                .unwrap();
+        let snap = nsg::core::Snapshot::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(snap.graph(), &frozen);
+        prop_assert_eq!(snap.navigating_node(), nav);
+        prop_assert!(snap.verify().is_ok());
     }
 
     /// SQ8 quantization error is within the per-dimension bound: rounding to
@@ -211,10 +195,11 @@ proptest! {
     }
 
     /// The asymmetric SQ8 kernel agrees with decode-then-exact-distance, and
-    /// the store round-trips byte-exactly through the NSQ8 section.
+    /// the store round-trips byte-exactly through an NSG2 snapshot's SQ8
+    /// section.
     #[test]
     fn sq8_kernel_matches_decode_and_serialization_is_byte_exact(base in point_set()) {
-        use nsg::core::serialize::{sq8_from_bytes, sq8_to_bytes};
+        use nsg::core::snapshot::snapshot_to_bytes;
         use nsg::vectors::store::{QueryScratch, VectorStore};
 
         let store = Sq8VectorSet::encode(&base);
@@ -230,10 +215,13 @@ proptest! {
             );
         }
 
-        let bytes = sq8_to_bytes(&store).unwrap();
-        let back = sq8_from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&back, &store);
-        prop_assert_eq!(sq8_to_bytes(&back).unwrap(), bytes);
+        let graph = CompactGraph::from_adjacency(vec![Vec::new(); base.len()]);
+        let kind = nsg::vectors::DistanceKind::SquaredEuclidean;
+        let bytes = snapshot_to_bytes(&graph, 0, &base, kind, Some(&store)).unwrap();
+        let snap = nsg::core::Snapshot::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(snap.sq8(), Some(&store));
+        let again = snapshot_to_bytes(&graph, 0, &base, kind, snap.sq8()).unwrap();
+        prop_assert_eq!(again, bytes);
     }
 
     /// fvecs serialization round-trips arbitrary finite vector sets.

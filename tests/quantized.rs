@@ -1,14 +1,13 @@
 //! Quantization smoke suite (the named `quantization-smoke` CI step).
 //!
 //! End-to-end checks of the SQ8 + two-phase-search pipeline at the umbrella
-//! level: encode → search → rerank quality on clustered data, the full
-//! serialized round trip back into a working [`QuantizedNsg`], and the
+//! level: encode → search → rerank quality on clustered data, the full NSG2
+//! snapshot round trip back into a working quantized index, and the
 //! corrupt-input rejection bar.
 
 use nsg::core::nsg::QuantizedNsg;
-use nsg::core::serialize::{
-    quantized_index_from_bytes, quantized_index_to_bytes, SerializeError,
-};
+use nsg::core::snapshot::snapshot_to_bytes;
+use nsg::core::{SerializeError, Snapshot};
 use nsg::prelude::*;
 use nsg::vectors::store::VectorStore;
 use std::sync::Arc;
@@ -67,19 +66,21 @@ fn quantized_index_round_trips_through_bytes_into_identical_answers() {
     let index = NsgIndex::build(Arc::clone(&base), SquaredEuclidean, build_params()).quantize_sq8();
     let request = SearchRequest::new(10).with_effort(80).with_rerank(3).with_stats();
 
-    let bytes = quantized_index_to_bytes(index.graph(), index.navigating_node(), index.store()).unwrap();
-    let (graph, nav, store) = quantized_index_from_bytes(&bytes).unwrap();
-    // Byte-exact round trip.
-    assert_eq!(quantized_index_to_bytes(&graph, nav, &store).unwrap(), bytes);
+    let bytes = quantized_snapshot_bytes(&index);
+    let snap = Snapshot::from_bytes(&bytes).unwrap();
+    assert_eq!(snap.sq8(), Some(&**index.store()));
+    // Byte-exact round trip: the opened views re-encode to the same image.
+    let again = snapshot_to_bytes(
+        snap.graph(),
+        snap.navigating_node(),
+        snap.vectors(),
+        snap.metric_kind(),
+        snap.sq8(),
+    )
+    .unwrap();
+    assert_eq!(&again[..], &bytes[..]);
 
-    let restored: QuantizedNsg<SquaredEuclidean> = NsgIndex::from_store_parts(
-        Arc::new(store),
-        Arc::clone(&base),
-        SquaredEuclidean,
-        graph,
-        nav,
-        *index.params(),
-    );
+    let restored = snap.into_index(*index.params());
     let mut ctx_a = index.new_context();
     let mut ctx_b = restored.new_context();
     for q in 0..queries.len() {
@@ -93,35 +94,50 @@ fn quantized_index_round_trips_through_bytes_into_identical_answers() {
 
 #[test]
 fn corrupt_quantized_streams_are_rejected_before_allocation() {
-    let base = Arc::new(nsg::vectors::synthetic::uniform(100, 8, 5));
+    let (n, dim) = (100, 8);
+    let base = Arc::new(nsg::vectors::synthetic::uniform(n, dim, 5));
     let index = NsgIndex::build(Arc::clone(&base), SquaredEuclidean, build_params()).quantize_sq8();
-    let good = quantized_index_to_bytes(index.graph(), index.navigating_node(), index.store())
-        .unwrap()
-        .to_vec();
+    let good = quantized_snapshot_bytes(&index);
+    // Payload offset of section-table entry `i` (header 16 bytes, 32 per
+    // entry, offset field at +8): META is entry 0, SQ8 the last of five.
+    let section_offset = |i: usize| {
+        let at = 16 + 32 * i + 8;
+        usize::try_from(u64::from_le_bytes(good[at..at + 8].try_into().unwrap())).unwrap()
+    };
+    let (meta, sq8) = (section_offset(0), section_offset(4));
+    let sq8_end = sq8 + 8 * dim + n * dim;
 
-    // Truncations anywhere in the stream fail cleanly.
-    for cut in [0, 4, good.len() / 2, good.len() - 1] {
+    // Truncations anywhere up to the last payload byte fail cleanly.
+    for cut in [0, 4, good.len() / 2, sq8_end - 1] {
         assert!(
-            quantized_index_from_bytes(&good[..cut]).is_err(),
+            Snapshot::from_bytes(&good[..cut]).is_err(),
             "truncation at {cut} bytes not detected"
         );
     }
-    // Flipped magic of the SQ8 section (right after the graph section).
-    let graph_len = nsg::core::serialize::graph_to_bytes(index.graph(), 0).unwrap().len();
+    // A NaN scale in the SQ8 section would poison every distance.
     let mut bad = good.clone();
-    bad[graph_len] ^= 0xFF;
-    assert!(matches!(
-        quantized_index_from_bytes(&bad),
-        Err(SerializeError::Corrupt(_))
-    ));
-    // Overstated vector count in the SQ8 header must be rejected by
-    // comparison against the bytes present — never by attempting the
-    // header-sized allocation.
+    let scale0 = sq8 + 4 * dim;
+    bad[scale0..scale0 + 4].copy_from_slice(&f32::NAN.to_bits().to_le_bytes());
+    assert!(matches!(Snapshot::from_bytes(&bad), Err(SerializeError::Corrupt(_))));
+    // An overstated node count in META must be rejected by comparison
+    // against the section lengths present — never by trusting the count.
     let mut overstated = good.clone();
-    let n_at = graph_len + 8;
-    overstated[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    overstated[meta + 4..meta + 8].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
-        quantized_index_from_bytes(&overstated),
+        Snapshot::from_bytes(&overstated),
         Err(SerializeError::Corrupt(_))
     ));
+}
+
+/// The NSG2 image of a quantized index (SQ8 store + retained `f32` rows).
+fn quantized_snapshot_bytes(index: &QuantizedNsg<SquaredEuclidean>) -> Vec<u8> {
+    snapshot_to_bytes(
+        index.graph(),
+        index.navigating_node(),
+        index.base(),
+        index.metric_kind(),
+        Some(index.store()),
+    )
+    .unwrap()
+    .to_vec()
 }

@@ -8,7 +8,7 @@
 //! Corrupt and truncated files must come back as `SerializeError`, never a
 //! panic, at the same bounded-decode bar as the streaming formats.
 
-use nsg::core::serialize::SerializeError;
+use nsg::core::SerializeError;
 use nsg::core::snapshot::{
     snapshot_to_bytes, write_quantized_snapshot, write_snapshot, Snapshot,
 };
