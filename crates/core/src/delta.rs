@@ -516,7 +516,8 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
 
         // Phase 2: the delta graph, seeded from salted random entries plus
         // the delta nodes anchored near the base answer. The shared loop's
-        // traversal time is attributed to the delta stage for this pass.
+        // seeding and traversal are attributed to the delta stage for this
+        // pass.
         if !st.rows.is_empty() {
             let entry_count = params.pool_size.min(st.rows.len());
             ctx.fill_random_entries(st.rows.len(), entry_count, self.config.seed, query_salt(query));

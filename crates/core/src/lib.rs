@@ -17,6 +17,7 @@ pub mod mrng;
 pub mod neighbor;
 pub mod nsg;
 pub mod search;
+mod serialize;
 pub mod sharded;
 pub mod snapshot;
 pub mod stats;

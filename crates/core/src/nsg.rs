@@ -166,7 +166,12 @@ impl<D: Distance + Sync> NsgIndex<D> {
         // search context is worker-pinned via `map_init` (one per worker for
         // the whole pass, not one per node task), so the builds stop paying a
         // context allocation per node; every search resets the context state
-        // it uses, keeping results identical at any worker count.
+        // it uses, keeping results identical at any worker count. The pool is
+        // seeded with the navigating node plus random nodes drawn from
+        // (seed, v), as the reference implementation does: on a clustered
+        // base the kNN graph falls apart into components, and a search from
+        // the navigating node alone never collects candidates outside its
+        // own, so no edge would lead into the other clusters.
         let m = params.max_degree.max(1);
         let phase_started = Instant::now();
         let collect_params = SearchParams::new(params.build_pool_size, params.build_pool_size); // lint:allow(params-construction): build-time search-collect pass, effort fixed by BuildParams
@@ -176,15 +181,12 @@ impl<D: Distance + Sync> NsgIndex<D> {
                 || SearchContext::for_points(n),
                 |ctx, v| {
                     let query = base.get(v);
-                    let (_, mut candidates) = search_collect(
-                        &knn_graph,
-                        &base,
-                        query,
-                        &[navigating_node],
-                        collect_params,
-                        &metric,
-                        ctx,
-                    );
+                    ctx.fill_random_entries(n, params.build_pool_size, params.seed, v as u64);
+                    ctx.entries[0] = navigating_node;
+                    let entries = std::mem::take(&mut ctx.entries);
+                    let (_, mut candidates) =
+                        search_collect(&knn_graph, &base, query, &entries, collect_params, &metric, ctx);
+                    ctx.entries = entries;
                     // Add v's kNN neighbors (they carry the approximate NNG,
                     // which is essential for monotonicity — Figure 4).
                     for nb in knn.neighbors(v as u32) {

@@ -22,7 +22,6 @@
 use crate::context::SearchContext;
 use crate::graph::GraphView;
 use crate::neighbor::Neighbor;
-use nsg_obs::TraceStage;
 use nsg_vectors::distance::Distance;
 use nsg_vectors::store::VectorStore;
 use nsg_vectors::VectorSet;
@@ -211,7 +210,7 @@ fn run_search<G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Siz
         }
     }
     let seed_distances = ctx.stats.distance_computations;
-    ctx.tracer.finish(TraceStage::EntrySeeding, seed_timer, seed_distances);
+    ctx.tracer.finish_seeding(seed_timer, seed_distances);
 
     // Algorithm 1 main loop: expand the first unchecked candidate until the
     // pool is fully checked.

@@ -1,397 +1,122 @@
-//! Compact binary serialization of an NSG index.
-//!
-//! The layout mirrors the file format of the released NSG implementation so
-//! index sizes are directly comparable to the paper's Table 2: a small header
-//! (magic, navigating node, node count) followed by one record per node
-//! consisting of a `u32` degree and that many `u32` neighbor ids, all
-//! little-endian.
-//!
-//! That record layout is already CSR-shaped, so since the frozen-graph
-//! refactor the decoder fills a [`CompactGraph`] directly: one bounded
-//! streaming pass appends each record's neighbors to the shared arena and
-//! closes the node's offset — no per-node `Vec` allocation, and **no
-//! allocation sized from unvalidated header fields**. Every count read from
-//! the stream (node count, per-node degree) is checked against the bytes
-//! actually remaining before any buffer is reserved, so a corrupt or
-//! adversarial header fails fast with [`SerializeError::Corrupt`] instead of
-//! attempting a multi-gigabyte allocation. The encoder is generic over
-//! [`GraphView`], so both representations write the identical byte stream.
-//!
-//! All magic numbers and fixed header sizes come from [`crate::format`],
-//! which also documents the byte layouts; the aligned zero-copy snapshot
-//! format built on top of these sections lives in [`crate::snapshot`].
-
-use crate::format::{GRAPH_MAGIC, HEADER_LEN, SQ8_MAGIC};
-use crate::graph::{CompactGraph, GraphView};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use nsg_vectors::quant::Sq8VectorSet;
-use std::fs::File;
-use std::io::{Read, Write};
-use std::path::Path;
-
-/// Errors returned by the index (de)serialization routines.
-#[derive(Debug)]
-pub enum SerializeError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The byte stream is not a valid serialized NSG graph.
-    Corrupt(String),
-    /// The in-memory graph cannot be represented in the on-disk format
-    /// (node count or a degree exceeds `u32`), so encoding it would
-    /// silently truncate into garbage.
-    TooLarge(String),
-}
-
-impl std::fmt::Display for SerializeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SerializeError::Io(e) => write!(f, "i/o error: {e}"),
-            SerializeError::Corrupt(msg) => write!(f, "corrupt index: {msg}"),
-            SerializeError::TooLarge(msg) => write!(f, "graph too large for the format: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SerializeError {}
-
-impl From<std::io::Error> for SerializeError {
-    fn from(e: std::io::Error) -> Self {
-        SerializeError::Io(e)
-    }
-}
-
-/// Serializes a graph and its navigating node into a compact byte buffer.
-///
-/// Generic over [`GraphView`]: the frozen [`CompactGraph`] and the build-time
-/// [`DirectedGraph`](crate::graph::DirectedGraph) encode to the identical
-/// byte stream. Node count and every degree are converted with checked
-/// narrowing — a graph that does not fit the `u32` on-disk fields returns
-/// [`SerializeError::TooLarge`] instead of round-tripping to garbage.
-pub fn graph_to_bytes<G: GraphView + ?Sized>(
-    graph: &G,
-    navigating_node: u32,
-) -> Result<Bytes, SerializeError> {
-    let n = u32::try_from(graph.num_nodes())
-        .map_err(|_| SerializeError::TooLarge(format!("{} nodes exceed u32", graph.num_nodes())))?;
-    // The decoder rebuilds u32 CSR offsets, so the *total* edge count must
-    // fit u32 as well — otherwise the encoder would happily write a file
-    // `graph_from_bytes` can never read back.
-    let edges = graph.num_edges();
-    if u32::try_from(edges).is_err() {
-        return Err(SerializeError::TooLarge(format!("{edges} total edges exceed u32")));
-    }
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + edges * 4 + graph.num_nodes() * 4);
-    buf.put_u32_le(GRAPH_MAGIC);
-    buf.put_u32_le(navigating_node);
-    buf.put_u32_le(n);
-    for v in 0..n {
-        let neighbors = graph.neighbors(v);
-        let degree = u32::try_from(neighbors.len()).map_err(|_| {
-            SerializeError::TooLarge(format!("degree {} of node {v} exceeds u32", neighbors.len()))
-        })?;
-        buf.put_u32_le(degree);
-        for &u in neighbors {
-            buf.put_u32_le(u);
-        }
-    }
-    Ok(buf.freeze())
-}
-
-/// Deserializes a graph produced by [`graph_to_bytes`], returning the frozen
-/// [`CompactGraph`] and the navigating node.
-///
-/// The decode is a bounded streaming fill: header counts are validated
-/// against `bytes.remaining()` **before** any allocation (a corrupt header
-/// claiming `u32::MAX` nodes is rejected in O(1) instead of reserving ~96 GB
-/// of `Vec` headers), and each node's neighbor run is appended straight to
-/// the CSR arena.
-pub fn graph_from_bytes(mut bytes: &[u8]) -> Result<(CompactGraph, u32), SerializeError> {
-    decode_graph(&mut bytes)
-}
-
-/// Streaming graph decode that advances `bytes` past the consumed section,
-/// so composite formats (graph section + SQ8 section) can parse in sequence.
-fn decode_graph(bytes: &mut &[u8]) -> Result<(CompactGraph, u32), SerializeError> {
-    if bytes.remaining() < HEADER_LEN {
-        return Err(SerializeError::Corrupt("truncated header".into()));
-    }
-    let magic = bytes.get_u32_le();
-    if magic != GRAPH_MAGIC {
-        return Err(SerializeError::Corrupt(format!("bad magic 0x{magic:08x}")));
-    }
-    let navigating_node = bytes.get_u32_le();
-    let n = bytes.get_u32_le() as usize;
-    // Every node record is at least one u32 (its degree), so a stream holding
-    // `r` bytes can encode at most `r / 4` nodes. Checking before reserving
-    // bounds both allocations below by the actual input size.
-    let max_records = bytes.remaining() / 4;
-    if n > max_records {
-        return Err(SerializeError::Corrupt(format!(
-            "header claims {n} nodes but only {} bytes remain",
-            bytes.remaining()
-        )));
-    }
-    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    // The arena can never exceed the remaining u32 words either; reserving
-    // the exact final size up front would need a second pass, so start from
-    // a degree-guess and let growth stay amortized-linear and input-bounded.
-    let mut targets: Vec<u32> = Vec::with_capacity(max_records.saturating_sub(n));
-    for v in 0..n {
-        if bytes.remaining() < 4 {
-            return Err(SerializeError::Corrupt(format!("truncated degree of node {v}")));
-        }
-        let degree = bytes.get_u32_le() as usize;
-        if bytes.remaining() < degree * 4 {
-            return Err(SerializeError::Corrupt(format!("truncated neighbor list of node {v}")));
-        }
-        for _ in 0..degree {
-            let u = bytes.get_u32_le();
-            if u as usize >= n {
-                return Err(SerializeError::Corrupt(format!("edge {v} -> {u} out of range")));
-            }
-            targets.push(u);
-        }
-        let end = u32::try_from(targets.len())
-            .map_err(|_| SerializeError::Corrupt("edge count exceeds u32".into()))?;
-        offsets.push(end);
-    }
-    if n > 0 && navigating_node as usize >= n {
-        return Err(SerializeError::Corrupt("navigating node out of range".into()));
-    }
-    Ok((CompactGraph::from_validated_parts(offsets, targets), navigating_node))
-}
-
-/// Writes the serialized graph to a file.
-pub fn save_graph<P: AsRef<Path>, G: GraphView + ?Sized>(
-    path: P,
-    graph: &G,
-    navigating_node: u32,
-) -> Result<(), SerializeError> {
-    let bytes = graph_to_bytes(graph, navigating_node)?;
-    let mut file = File::create(path)?;
-    file.write_all(&bytes)?;
-    Ok(())
-}
-
-/// Reads a serialized graph from a file.
-pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<(CompactGraph, u32), SerializeError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    graph_from_bytes(&bytes)
-}
-
-/// Serializes an SQ8 quantized store: magic "NSQ8", `dim`, `n`, the per-dim
-/// `min` and `scale` arrays (`f32` little-endian), then the `n·dim` code
-/// arena. All counts are `u32`-checked like the graph format.
-pub fn sq8_to_bytes(store: &Sq8VectorSet) -> Result<Bytes, SerializeError> {
-    let dim = u32::try_from(store.dim())
-        .map_err(|_| SerializeError::TooLarge(format!("dimension {} exceeds u32", store.dim())))?;
-    let n = u32::try_from(store.len())
-        .map_err(|_| SerializeError::TooLarge(format!("{} vectors exceed u32", store.len())))?;
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + store.dim() * 8 + store.as_codes().len());
-    buf.put_u32_le(SQ8_MAGIC);
-    buf.put_u32_le(dim);
-    buf.put_u32_le(n);
-    for &lo in store.mins() {
-        buf.put_f32_le(lo);
-    }
-    for &s in store.scales() {
-        buf.put_f32_le(s);
-    }
-    buf.put_slice(store.as_codes());
-    Ok(buf.freeze())
-}
-
-/// Deserializes an SQ8 store produced by [`sq8_to_bytes`].
-///
-/// Same hardening bar as the graph decode: every header count is validated
-/// against `bytes.remaining()` **before** any allocation, so a corrupt
-/// stream claiming `u32::MAX` vectors (a ~550 GB code arena) is rejected in
-/// O(1), and non-finite affine parameters are refused — a single NaN `scale`
-/// would silently poison every distance computed against the store.
-pub fn sq8_from_bytes(mut bytes: &[u8]) -> Result<Sq8VectorSet, SerializeError> {
-    decode_sq8(&mut bytes)
-}
-
-/// Streaming SQ8 decode that advances `bytes` past the consumed section.
-fn decode_sq8(bytes: &mut &[u8]) -> Result<Sq8VectorSet, SerializeError> {
-    if bytes.remaining() < HEADER_LEN {
-        return Err(SerializeError::Corrupt("truncated SQ8 header".into()));
-    }
-    let magic = bytes.get_u32_le();
-    if magic != SQ8_MAGIC {
-        return Err(SerializeError::Corrupt(format!("bad SQ8 magic 0x{magic:08x}")));
-    }
-    let dim32 = bytes.get_u32_le();
-    let n32 = bytes.get_u32_le();
-    let dim = dim32 as usize;
-    let n = n32 as usize;
-    if dim == 0 {
-        return Err(SerializeError::Corrupt("SQ8 dimension is zero".into()));
-    }
-    // The affine parameters alone occupy 8 bytes per dimension; bounding the
-    // claimed dim by the bytes actually present caps both `Vec` reservations
-    // below at the input size.
-    if bytes.remaining() / 8 < dim {
-        return Err(SerializeError::Corrupt(format!(
-            "SQ8 header claims dimension {dim} but only {} bytes remain",
-            bytes.remaining()
-        )));
-    }
-    let mut min = Vec::with_capacity(dim);
-    for i in 0..dim {
-        let lo = bytes.get_f32_le();
-        if !lo.is_finite() {
-            return Err(SerializeError::Corrupt(format!("non-finite min at dimension {i}")));
-        }
-        min.push(lo);
-    }
-    let mut scale = Vec::with_capacity(dim);
-    for i in 0..dim {
-        let s = bytes.get_f32_le();
-        if !s.is_finite() || s < 0.0 {
-            return Err(SerializeError::Corrupt(format!("invalid scale {s} at dimension {i}")));
-        }
-        scale.push(s);
-    }
-    // Code arena: `n · dim` bytes, claimed count checked against the stream
-    // before the allocation (u64 math so the product cannot wrap, checked
-    // conversion back so a 32-bit host cannot silently truncate it).
-    let claimed = u64::from(n32) * u64::from(dim32);
-    let code_bytes = usize::try_from(claimed)
-        .ok()
-        .filter(|&cb| cb <= bytes.remaining())
-        .ok_or_else(|| {
-            SerializeError::Corrupt(format!(
-                "SQ8 header claims {n} vectors ({claimed} code bytes) but only {} bytes remain",
-                bytes.remaining()
-            ))
-        })?;
-    let codes = bytes.chunk()[..code_bytes].to_vec();
-    bytes.advance(code_bytes);
-    // The length relations were all enforced above, but corrupt inputs must
-    // never reach a panicking constructor — surface any residue as Corrupt.
-    Sq8VectorSet::try_from_parts(dim, min, scale, codes)
-        .map_err(|e| SerializeError::Corrupt(format!("SQ8 parts rejected: {e}")))
-}
-
-/// Serializes a quantized index: the graph section ([`graph_to_bytes`])
-/// followed by the SQ8 store section ([`sq8_to_bytes`]). Rejects a store
-/// whose vector count differs from the graph's node count — such a pair can
-/// never decode back into a consistent index (`Corrupt`, the same error
-/// class the decoder assigns this mismatch).
-pub fn quantized_index_to_bytes<G: GraphView + ?Sized>(
-    graph: &G,
-    navigating_node: u32,
-    store: &Sq8VectorSet,
-) -> Result<Bytes, SerializeError> {
-    if graph.num_nodes() != store.len() {
-        return Err(SerializeError::Corrupt(format!(
-            "graph has {} nodes but the store holds {} vectors",
-            graph.num_nodes(),
-            store.len()
-        )));
-    }
-    let graph_bytes = graph_to_bytes(graph, navigating_node)?;
-    let store_bytes = sq8_to_bytes(store)?;
-    let mut buf = BytesMut::with_capacity(graph_bytes.len() + store_bytes.len());
-    buf.put_slice(&graph_bytes);
-    buf.put_slice(&store_bytes);
-    Ok(buf.freeze())
-}
-
-/// Deserializes a quantized index written by [`quantized_index_to_bytes`]:
-/// both sections stream-decode with their bounded validation, then the pair
-/// is cross-checked (node count vs. vector count) and trailing garbage is
-/// rejected.
-pub fn quantized_index_from_bytes(
-    mut bytes: &[u8],
-) -> Result<(CompactGraph, u32, Sq8VectorSet), SerializeError> {
-    let (graph, navigating_node) = decode_graph(&mut bytes)?;
-    let store = decode_sq8(&mut bytes)?;
-    if store.len() != graph.num_nodes() {
-        return Err(SerializeError::Corrupt(format!(
-            "graph has {} nodes but the store holds {} vectors",
-            graph.num_nodes(),
-            store.len()
-        )));
-    }
-    if bytes.has_remaining() {
-        return Err(SerializeError::Corrupt(format!(
-            "{} trailing bytes after the SQ8 section",
-            bytes.remaining()
-        )));
-    }
-    Ok((graph, navigating_node, store))
-}
+//! Serialization contract of the NSG2 container, pinned on a four-node toy
+//! graph: what round-trips byte for byte, what the fixed structure costs in
+//! bytes, and which corrupt inputs are refused before any arena is
+//! borrowed. The writer and reader live in [`crate::snapshot`]; these tests
+//! read the section table through the [`crate::format`] constants only, so
+//! they check the bytes on disk rather than the reader's own bookkeeping.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::graph::DirectedGraph;
+    use crate::format::{
+        SECTION_ALIGN, SECTION_ENTRY_LEN, SEC_GRAPH_OFFSETS, SEC_GRAPH_TARGETS, SEC_META, SEC_SQ8,
+        SEC_VECTORS, SNAPSHOT_HEADER_LEN,
+    };
+    use crate::graph::CompactGraph;
+    use crate::nsg::{NsgIndex, NsgParams};
+    use crate::snapshot::{snapshot_to_bytes, write_snapshot, SerializeError, Snapshot};
+    use nsg_vectors::distance::SquaredEuclidean;
+    use nsg_vectors::quant::Sq8VectorSet;
+    use nsg_vectors::synthetic::uniform;
+    use nsg_vectors::{DistanceKind, VectorSet};
+    use std::sync::Arc;
 
+    /// Four nodes, six edges; node 2 has no out-edges.
     fn toy_graph() -> CompactGraph {
         CompactGraph::from_adjacency(vec![vec![1, 2], vec![2], vec![], vec![0, 1, 2]])
+    }
+
+    fn toy_bytes(nav: u32, dim: usize, quantized: bool) -> Vec<u8> {
+        let g = toy_graph();
+        let base = uniform(g.num_nodes(), dim, 5);
+        let sq8 = quantized.then(|| Sq8VectorSet::encode(&base));
+        snapshot_to_bytes(&g, nav, &base, DistanceKind::SquaredEuclidean, sq8.as_ref())
+            .unwrap()
+            .to_vec()
+    }
+
+    fn le_u64(bytes: &[u8], at: usize) -> usize {
+        usize::try_from(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())).unwrap()
+    }
+
+    /// `(table-entry position, payload offset, payload length)` of section
+    /// `tag`, read straight from the section table.
+    fn section(bytes: &[u8], tag: u32) -> (usize, usize, usize) {
+        let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        (0..count)
+            .map(|i| SNAPSHOT_HEADER_LEN + i * SECTION_ENTRY_LEN)
+            .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == tag)
+            .map(|e| (e, le_u64(bytes, e + 8), le_u64(bytes, e + 16)))
+            .expect("section present")
+    }
+
+    fn corrupt_with(bytes: &[u8], needle: &str) -> bool {
+        matches!(Snapshot::from_bytes(bytes), Err(SerializeError::Corrupt(msg)) if msg.contains(needle))
     }
 
     #[test]
     fn roundtrip_in_memory() {
         let g = toy_graph();
-        let bytes = graph_to_bytes(&g, 3).unwrap();
-        let (back, nav) = graph_from_bytes(&bytes).unwrap();
-        assert_eq!(back, g);
-        assert_eq!(nav, 3);
-    }
-
-    #[test]
-    fn directed_and_compact_encode_identically() {
-        // Same MAGIC, same records: a file written from either representation
-        // is readable as the other — the format did not fork.
-        let lists = vec![vec![1u32, 2], vec![2], vec![], vec![0, 1, 2]];
-        let nested = DirectedGraph::from_adjacency(lists.clone());
-        let frozen = CompactGraph::from_adjacency(lists);
-        let a = graph_to_bytes(&nested, 2).unwrap();
-        let b = graph_to_bytes(&frozen, 2).unwrap();
-        assert_eq!(a, b, "encodings diverge between representations");
-        let (back, _) = graph_from_bytes(&a).unwrap();
-        assert_eq!(back.to_directed(), nested);
+        let base = uniform(g.num_nodes(), 6, 1);
+        let bytes = snapshot_to_bytes(&g, 3, &base, DistanceKind::SquaredEuclidean, None).unwrap();
+        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(snap.graph(), &g);
+        assert_eq!(snap.navigating_node(), 3);
+        assert_eq!(snap.vectors(), &base);
+        assert!(snap.sq8().is_none());
     }
 
     #[test]
     fn roundtrip_on_disk() {
         let g = toy_graph();
+        let base = Arc::new(uniform(g.num_nodes(), 6, 2));
+        let index = NsgIndex::from_parts(Arc::clone(&base), SquaredEuclidean, g.clone(), 1, NsgParams::default());
         let dir = std::env::temp_dir().join(format!("nsg_ser_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.nsg");
-        save_graph(&path, &g, 1).unwrap();
-        let (back, nav) = load_graph(&path).unwrap();
-        assert_eq!(back, g);
-        assert_eq!(nav, 1);
+        let path = dir.join("index.nsg2");
+        write_snapshot(&path, &index).unwrap();
+        for snap in [Snapshot::open(&path).unwrap(), Snapshot::open_unmapped(&path).unwrap()] {
+            assert_eq!(snap.graph(), &g);
+            assert_eq!(snap.navigating_node(), 1);
+            assert_eq!(snap.vectors(), &*base);
+            assert_eq!(snap.metric_kind(), DistanceKind::SquaredEuclidean);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_graph_roundtrips() {
         let g = CompactGraph::empty();
-        let bytes = graph_to_bytes(&g, 0).unwrap();
-        let (back, _) = graph_from_bytes(&bytes).unwrap();
-        assert_eq!(back.num_nodes(), 0);
+        let base = VectorSet::new(4);
+        let bytes = snapshot_to_bytes(&g, 0, &base, DistanceKind::SquaredEuclidean, None).unwrap();
+        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(snap.graph().num_nodes(), 0);
+        assert_eq!(snap.graph().num_edges(), 0);
+        assert!(snap.vectors().is_empty());
+        let again = snapshot_to_bytes(snap.graph(), 0, snap.vectors(), snap.metric_kind(), None).unwrap();
+        assert_eq!(again, bytes);
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = graph_to_bytes(&toy_graph(), 0).unwrap().to_vec();
-        bytes[0] ^= 0xFF;
-        assert!(matches!(graph_from_bytes(&bytes), Err(SerializeError::Corrupt(_))));
+        let good = toy_bytes(0, 4, false);
+        for at in 0..4 {
+            let mut bytes = good.clone();
+            bytes[at] ^= 0xFF;
+            assert!(corrupt_with(&bytes, "magic"), "flipped magic byte {at} accepted");
+        }
     }
 
     #[test]
     fn truncated_stream_is_rejected() {
-        let bytes = graph_to_bytes(&toy_graph(), 0).unwrap();
-        for cut in [0, 5, 11, bytes.len() - 1] {
+        // 4 × 16 f32 rows are 256 bytes, a whole number of 64-byte blocks, so
+        // the file ends exactly where the last payload does and every cut
+        // below falls inside the header, the table or a payload.
+        let bytes = toy_bytes(0, 16, false);
+        let (_, offset, len) = section(&bytes, SEC_VECTORS);
+        assert_eq!(offset + len, bytes.len());
+        for cut in [0, 5, 11, SNAPSHOT_HEADER_LEN + 7, bytes.len() - 1] {
             assert!(
-                graph_from_bytes(&bytes[..cut]).is_err(),
+                Snapshot::from_bytes(&bytes[..cut]).is_err(),
                 "truncation at {cut} bytes not detected"
             );
         }
@@ -399,180 +124,162 @@ mod tests {
 
     #[test]
     fn corrupt_header_node_count_fails_fast_without_allocating() {
-        // Regression: the decoder used to `Vec::with_capacity(n)` straight
-        // from the header — a stream claiming u32::MAX nodes requested ~96 GB
-        // of `Vec` headers before reading a single record. The claimed count
-        // must now be bounded by the bytes actually present.
+        // An overstated node count in META must be refused against the
+        // length of the offsets section actually present, before any arena
+        // is borrowed or sized from the claim.
+        let good = toy_bytes(0, 4, false);
+        let (_, meta, _) = section(&good, SEC_META);
         for claimed in [u32::MAX, u32::MAX / 2, 1_000_000] {
-            let mut buf = BytesMut::new();
-            buf.put_u32_le(GRAPH_MAGIC);
-            buf.put_u32_le(0); // navigating node
-            buf.put_u32_le(claimed); // wildly overstated node count
-            buf.put_u32_le(0); // a single real record
-            let err = graph_from_bytes(&buf.freeze()).unwrap_err();
+            let mut bytes = good.clone();
+            bytes[meta + 4..meta + 8].copy_from_slice(&claimed.to_le_bytes());
             assert!(
-                matches!(&err, SerializeError::Corrupt(msg) if msg.contains("claims")),
-                "claimed {claimed}: expected fast corrupt-header rejection, got {err:?}"
+                corrupt_with(&bytes, "GOFF holds"),
+                "claimed {claimed}: expected the offsets-length refusal, got {:?}",
+                Snapshot::from_bytes(&bytes).err()
             );
         }
     }
 
     #[test]
-    fn corrupt_degree_is_bounded_by_remaining_bytes() {
-        // A single node whose degree field claims far more neighbors than the
-        // stream holds must be rejected before any arena growth.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(GRAPH_MAGIC);
-        buf.put_u32_le(0);
-        buf.put_u32_le(1); // one node
-        buf.put_u32_le(u32::MAX); // degree overstated by ~4 billion
-        buf.put_u32_le(0); // only one neighbor word actually present
-        assert!(matches!(
-            graph_from_bytes(&buf.freeze()),
-            Err(SerializeError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn out_of_range_edges_are_rejected() {
-        // Hand-craft a stream whose single node points at node 7.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(GRAPH_MAGIC);
-        buf.put_u32_le(0);
-        buf.put_u32_le(1);
-        buf.put_u32_le(1);
-        buf.put_u32_le(7);
-        assert!(matches!(
-            graph_from_bytes(&buf.freeze()),
-            Err(SerializeError::Corrupt(_))
-        ));
+        // The O(1) open borrows the edge arena without scanning it; the deep
+        // check must catch a target past the last node.
+        let mut bytes = toy_bytes(0, 4, false);
+        let (_, gtgt, _) = section(&bytes, SEC_GRAPH_TARGETS);
+        bytes[gtgt..gtgt + 4].copy_from_slice(&7u32.to_le_bytes());
+        let snap = Snapshot::from_bytes(&bytes).expect("the table is still well-formed");
+        assert!(matches!(snap.verify(), Err(SerializeError::Corrupt(_))));
     }
 
     #[test]
     fn out_of_range_navigating_node_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(GRAPH_MAGIC);
-        buf.put_u32_le(9); // navigating node
-        buf.put_u32_le(1); // one node
-        buf.put_u32_le(0); // degree 0
-        assert!(matches!(
-            graph_from_bytes(&buf.freeze()),
-            Err(SerializeError::Corrupt(_))
-        ));
+        let mut bytes = toy_bytes(0, 4, false);
+        let (_, meta, _) = section(&bytes, SEC_META);
+        bytes[meta..meta + 4].copy_from_slice(&9u32.to_le_bytes());
+        assert!(corrupt_with(&bytes, "navigating node out of range"));
     }
 
     #[test]
     fn sq8_store_roundtrips_byte_exactly() {
-        let base = nsg_vectors::synthetic::uniform(40, 9, 3);
+        let base = uniform(40, 9, 3);
         let store = Sq8VectorSet::encode(&base);
-        let bytes = sq8_to_bytes(&store).unwrap();
-        let back = sq8_from_bytes(&bytes).unwrap();
-        assert_eq!(back, store);
-        // Byte-exact: re-encoding the decoded store reproduces the stream.
-        assert_eq!(sq8_to_bytes(&back).unwrap(), bytes);
+        let graph = CompactGraph::from_adjacency(vec![Vec::new(); 40]);
+        let bytes = snapshot_to_bytes(&graph, 0, &base, DistanceKind::SquaredEuclidean, Some(&store)).unwrap();
+        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(snap.sq8(), Some(&store));
+        // Byte-exact: re-encoding the opened views reproduces the image.
+        let again = snapshot_to_bytes(snap.graph(), 0, snap.vectors(), snap.metric_kind(), snap.sq8()).unwrap();
+        assert_eq!(again, bytes);
     }
 
     #[test]
     fn quantized_index_roundtrips_byte_exactly() {
+        let bytes = toy_bytes(2, 6, true);
+        let snap = Snapshot::from_bytes(&bytes).unwrap();
         let g = toy_graph();
-        let base = nsg_vectors::synthetic::uniform(g.num_nodes(), 6, 5);
-        let store = Sq8VectorSet::encode(&base);
-        let bytes = quantized_index_to_bytes(&g, 2, &store).unwrap();
-        let (graph, nav, back) = quantized_index_from_bytes(&bytes).unwrap();
-        assert_eq!(graph, g);
-        assert_eq!(nav, 2);
-        assert_eq!(back, store);
-        assert_eq!(quantized_index_to_bytes(&graph, nav, &back).unwrap(), bytes);
+        assert_eq!(snap.graph(), &g);
+        assert_eq!(snap.navigating_node(), 2);
+        assert_eq!(snap.sq8(), Some(&Sq8VectorSet::encode(&uniform(g.num_nodes(), 6, 5))));
+        let again = snapshot_to_bytes(snap.graph(), 2, snap.vectors(), snap.metric_kind(), snap.sq8()).unwrap();
+        assert_eq!(again.as_ref(), bytes.as_slice());
     }
 
     #[test]
     fn quantized_encode_rejects_mismatched_store() {
         let g = toy_graph(); // 4 nodes
-        let base = nsg_vectors::synthetic::uniform(3, 4, 1);
-        let store = Sq8VectorSet::encode(&base);
-        assert!(matches!(
-            quantized_index_to_bytes(&g, 0, &store),
-            Err(SerializeError::Corrupt(_))
-        ));
+        let base = uniform(4, 4, 1);
+        for wrong in [uniform(3, 4, 1), uniform(4, 5, 1)] {
+            let store = Sq8VectorSet::encode(&wrong);
+            assert!(matches!(
+                snapshot_to_bytes(&g, 0, &base, DistanceKind::SquaredEuclidean, Some(&store)),
+                Err(SerializeError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
     fn corrupt_sq8_vector_count_fails_fast_without_allocating() {
-        // Same regression bar as the graph header: a stream claiming
-        // u32::MAX vectors (a ~550 GB code arena at dim 128) must be
-        // rejected by comparing against the bytes actually present, before
-        // any allocation happens.
-        let base = nsg_vectors::synthetic::uniform(4, 8, 7);
-        let good = sq8_to_bytes(&Sq8VectorSet::encode(&base)).unwrap();
-        let mut bytes = good.to_vec();
-        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes()); // overstate n
-        let err = sq8_from_bytes(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, SerializeError::Corrupt(msg) if msg.contains("claims")),
-            "expected fast corrupt-count rejection, got {err:?}"
-        );
-        // Overstated dimension is bounded the same way.
-        let mut bytes = good.to_vec();
-        bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(sq8_from_bytes(&bytes), Err(SerializeError::Corrupt(_))));
+        // The SQ8 section has no count of its own: its table length is
+        // bounded by the file, then must equal what META's counts imply.
+        let good = toy_bytes(0, 4, true);
+        let (entry, _, _) = section(&good, SEC_SQ8);
+        for claimed in [u64::MAX, u64::MAX / 2, 1 << 40] {
+            let mut bytes = good.clone();
+            bytes[entry + 16..entry + 24].copy_from_slice(&claimed.to_le_bytes());
+            assert!(corrupt_with(&bytes, "exceeds"), "SQ8 length {claimed} accepted");
+        }
+        // An overstated META count is refused before the SQ8 arenas are
+        // borrowed.
+        let (_, meta, _) = section(&good, SEC_META);
+        let mut bytes = good.clone();
+        bytes[meta + 4..meta + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(Snapshot::from_bytes(&bytes), Err(SerializeError::Corrupt(_))));
     }
 
     #[test]
     fn sq8_rejects_bad_magic_truncation_and_poisoned_parameters() {
-        let base = nsg_vectors::synthetic::uniform(6, 4, 9);
-        let good = sq8_to_bytes(&Sq8VectorSet::encode(&base)).unwrap();
+        let dim = 4;
+        let good = toy_bytes(0, dim, true);
+        let (_, sq8, len) = section(&good, SEC_SQ8);
 
-        let mut bad_magic = good.to_vec();
+        let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(matches!(sq8_from_bytes(&bad_magic), Err(SerializeError::Corrupt(_))));
+        assert!(corrupt_with(&bad_magic, "magic"));
 
-        for cut in [0, 7, 11, good.len() - 1] {
-            assert!(sq8_from_bytes(&good[..cut]).is_err(), "truncation at {cut} not detected");
+        // Cuts inside the min parameters, the scale parameters and the codes.
+        for cut in [sq8 + 3, sq8 + 4 * dim + 1, sq8 + len - 1] {
+            assert!(Snapshot::from_bytes(&good[..cut]).is_err(), "truncation at {cut} not detected");
         }
 
-        // A NaN scale would silently poison every asymmetric distance; the
-        // decoder must refuse it (scale of dim 0 sits after the 12-byte
-        // header and the 4 min floats).
-        let mut poisoned = good.to_vec();
-        let scale0 = 12 + 4 * 4;
-        poisoned[scale0..scale0 + 4].copy_from_slice(&f32::NAN.to_bits().to_le_bytes());
-        assert!(matches!(sq8_from_bytes(&poisoned), Err(SerializeError::Corrupt(_))));
+        // A NaN or negative scale, or a NaN min, would silently poison every
+        // asymmetric distance; the open must refuse each.
+        let scale0 = sq8 + 4 * dim;
+        for (at, value) in [(scale0, f32::NAN), (scale0, -1.0), (sq8, f32::NAN)] {
+            let mut poisoned = good.clone();
+            poisoned[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            assert!(matches!(Snapshot::from_bytes(&poisoned), Err(SerializeError::Corrupt(_))));
+        }
 
-        // Zero-dimension streams are structurally invalid.
-        let mut zero_dim = good.to_vec();
-        zero_dim[4..8].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(sq8_from_bytes(&zero_dim), Err(SerializeError::Corrupt(_))));
+        // Zero-dimension snapshots are structurally invalid.
+        let (_, meta, _) = section(&good, SEC_META);
+        let mut zero_dim = good.clone();
+        zero_dim[meta + 8..meta + 12].copy_from_slice(&0u32.to_le_bytes());
+        assert!(corrupt_with(&zero_dim, "dimension is zero"));
     }
 
     #[test]
     fn quantized_index_rejects_trailing_garbage_and_count_mismatch() {
-        let g = toy_graph();
-        let base = nsg_vectors::synthetic::uniform(g.num_nodes(), 5, 11);
-        let store = Sq8VectorSet::encode(&base);
-        let good = quantized_index_to_bytes(&g, 0, &store).unwrap();
-
-        let mut trailing = good.to_vec();
-        trailing.push(0xAB);
-        assert!(matches!(
-            quantized_index_from_bytes(&trailing),
-            Err(SerializeError::Corrupt(msg)) if msg.contains("trailing")
-        ));
-
-        // Hand-compose a graph section with a store of the wrong length.
-        let small = Sq8VectorSet::encode(&nsg_vectors::synthetic::uniform(2, 5, 11));
-        let mut mismatched = graph_to_bytes(&g, 0).unwrap().to_vec();
-        mismatched.extend_from_slice(&sq8_to_bytes(&small).unwrap());
-        assert!(matches!(
-            quantized_index_from_bytes(&mismatched),
-            Err(SerializeError::Corrupt(_))
-        ));
+        // dim 4: the SQ8 payload is 8·4 + 4·4 = 48 bytes padded to 64, so
+        // every length below still lies inside the file and only the exact
+        // `8d + n·d` check can refuse it.
+        let dim = 4;
+        let good = toy_bytes(0, dim, true);
+        let (entry, offset, len) = section(&good, SEC_SQ8);
+        assert_eq!(len, 8 * dim + 4 * dim);
+        assert!(offset + len + dim <= good.len());
+        // Trailing bytes after the codes, and one code row more or fewer
+        // than META's node count.
+        for wrong in [len + 1, len + 3, len + dim, len - dim] {
+            let mut bytes = good.clone();
+            bytes[entry + 16..entry + 24].copy_from_slice(&(wrong as u64).to_le_bytes());
+            assert!(corrupt_with(&bytes, "SQ8 section holds"), "SQ8 length {wrong} accepted");
+        }
     }
 
     #[test]
     fn serialized_size_matches_fixed_structure() {
-        let g = toy_graph();
-        let bytes = graph_to_bytes(&g, 0).unwrap();
-        // header 12 bytes + 4 degree words + 6 edge words.
-        assert_eq!(bytes.len(), 12 + 4 * 4 + 6 * 4);
+        // 4 nodes, 6 edges, dim 16: the graph costs 4(n + 1) + 4m bytes (the
+        // paper's Table 2 count), every section starts on a 64-byte boundary.
+        let (n, m, d) = (4, 6, 16);
+        let bytes = toy_bytes(0, d, false);
+        assert_eq!(section(&bytes, SEC_META).2, 32);
+        assert_eq!(section(&bytes, SEC_GRAPH_OFFSETS).2, 4 * (n + 1));
+        assert_eq!(section(&bytes, SEC_GRAPH_TARGETS).2, 4 * m);
+        assert_eq!(section(&bytes, SEC_VECTORS).2, 4 * n * d);
+        // Header + four table entries (144 → 192), META, GOFF and GTGT one
+        // block each, VECS four blocks.
+        let blocks = |len: usize| len.div_ceil(SECTION_ALIGN) * SECTION_ALIGN;
+        assert_eq!(bytes.len(), blocks(SNAPSHOT_HEADER_LEN + 4 * SECTION_ENTRY_LEN) + 3 * 64 + 4 * n * d);
+        assert_eq!(bytes.len(), 640);
     }
 }

@@ -22,11 +22,12 @@ use std::time::Instant;
 /// (the live-mutation path) touch all six.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStage {
-    /// Scoring the entry points that seed the candidate pool.
+    /// Scoring the entry points that seed the frozen base's candidate pool.
     EntrySeeding = 0,
     /// The Algorithm 1 expansion loop over the frozen base graph.
     BaseTraversal = 1,
-    /// The same loop over the delta graph (live-mutation path only).
+    /// The delta pass (live-mutation path only): scoring its entry points
+    /// and the same loop over the delta graph.
     DeltaTraversal = 2,
     /// Merging base and delta candidates into one sorted stream.
     SortedMerge = 3,
@@ -183,6 +184,19 @@ impl TraceRecorder {
         self.finish(self.traversal, started, distance_computations);
     }
 
+    /// Closes the entry-seeding timer. Seeding a delta pass is part of that
+    /// pass, so under a `DeltaTraversal` attribution it is charged there: a
+    /// delta small enough to be seeded whole leaves its traversal loop with
+    /// nothing to score, and its cost must still show up as delta work.
+    // lint:hot-path
+    pub fn finish_seeding(&mut self, started: Option<Instant>, distance_computations: u64) {
+        let stage = match self.traversal {
+            TraceStage::DeltaTraversal => TraceStage::DeltaTraversal,
+            _ => TraceStage::EntrySeeding,
+        };
+        self.finish(stage, started, distance_computations);
+    }
+
     /// Redirects the shared traversal loop's attribution (the merged
     /// base+delta search brackets its delta pass with
     /// `DeltaTraversal`/`BaseTraversal`).
@@ -290,6 +304,20 @@ mod tests {
             rec.trace().expect("sampled").stage(TraceStage::BaseTraversal).distance_computations,
             1
         );
+    }
+
+    #[test]
+    fn delta_seeding_is_charged_to_the_delta_pass() {
+        let mut rec = TraceRecorder::new();
+        rec.arm(1);
+        let t = rec.begin();
+        rec.finish_seeding(t, 2);
+        rec.set_traversal_stage(TraceStage::DeltaTraversal);
+        let t = rec.begin();
+        rec.finish_seeding(t, 5);
+        let trace = rec.trace().expect("sampled");
+        assert_eq!(trace.stage(TraceStage::EntrySeeding).distance_computations, 2);
+        assert_eq!(trace.stage(TraceStage::DeltaTraversal).distance_computations, 5);
     }
 
     #[test]
