@@ -13,7 +13,7 @@ use nsg_core::context::SearchContext;
 use nsg_core::graph::CompactGraph;
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::mrng::mrng_select;
-use nsg_core::neighbor::Neighbor;
+use nsg_core::neighbor::{self, Neighbor};
 use nsg_core::search::search_from_context_entries;
 use nsg_knn::{build_nn_descent, KnnGraph, NnDescentParams};
 use nsg_vectors::distance::Distance;
@@ -88,7 +88,7 @@ impl<D: Distance + Sync> FanngIndex<D> {
                     .map(|id| Neighbor::new(id, metric.distance(vq, base.get(id as usize))))
                     .collect();
                 candidates.sort_unstable_by(Neighbor::ordering);
-                mrng_select(&base, vq, &candidates, params.max_degree.max(1), &metric)
+                neighbor::ids(&mrng_select(&base, &candidates, params.max_degree.max(1), &metric))
             })
             .collect();
         Self {
@@ -139,7 +139,6 @@ impl<D: Distance + Sync> AnnIndex for FanngIndex<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsg_core::neighbor;
     use nsg_vectors::distance::SquaredEuclidean;
     use nsg_vectors::ground_truth::exact_knn;
     use nsg_vectors::metrics::mean_precision;

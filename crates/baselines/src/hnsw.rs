@@ -22,7 +22,7 @@ use nsg_core::context::SearchContext;
 use nsg_core::graph::{CompactGraph, GraphView};
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::mrng::mrng_select;
-use nsg_core::neighbor::{CandidatePool, Neighbor};
+use nsg_core::neighbor::{self, CandidatePool, Neighbor};
 use nsg_core::search::{exact_rerank, SearchStats, VisitedSet};
 use nsg_vectors::distance::Distance;
 use nsg_vectors::quant::Sq8VectorSet;
@@ -165,7 +165,7 @@ impl<D: Distance + Sync> HnswIndex<D> {
             let top = level.min(max_level);
             for layer in (0..=top).rev() {
                 let candidates = index.search_layer(query, &[ep], params.ef_construction.max(m), layer);
-                let selected = index.select_neighbors(query, &candidates, m);
+                let selected = index.select_neighbors(&candidates, m);
                 for &u in &selected {
                     index.link(v, u, layer);
                     index.link(u, v, layer);
@@ -246,15 +246,15 @@ impl<D: Distance + Sync> HnswIndex<D> {
             .map(|&u| Neighbor::new(u, self.metric.distance(nq, self.base.get(u as usize))))
             .collect();
         candidates.sort_unstable_by(Neighbor::ordering);
-        let kept = mrng_select(&self.base, nq, &candidates, cap, &self.metric);
-        self.layers[node as usize][layer] = kept;
+        self.layers[node as usize][layer] =
+            neighbor::ids(&mrng_select(&self.base, &candidates, cap, &self.metric));
     }
 
     /// RNG-style neighbor selection (the "heuristic" of the HNSW paper).
-    fn select_neighbors(&self, query: &[f32], candidates: &[Neighbor], m: usize) -> Vec<u32> {
+    fn select_neighbors(&self, candidates: &[Neighbor], m: usize) -> Vec<u32> {
         let mut sorted = candidates.to_vec();
         sorted.sort_unstable_by(Neighbor::ordering);
-        mrng_select(&self.base, query, &sorted, m, &self.metric)
+        neighbor::ids(&mrng_select(&self.base, &sorted, m, &self.metric))
     }
 
     /// Pure greedy descent within one layer (used on the layers above the

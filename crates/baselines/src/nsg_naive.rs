@@ -10,7 +10,7 @@ use nsg_core::context::SearchContext;
 use nsg_core::graph::CompactGraph;
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::mrng::mrng_select;
-use nsg_core::neighbor::Neighbor;
+use nsg_core::neighbor::{self, Neighbor};
 use nsg_core::search::search_from_context_entries;
 use nsg_knn::{build_nn_descent, KnnGraph, NnDescentParams};
 use nsg_vectors::distance::Distance;
@@ -70,7 +70,7 @@ impl<D: Distance + Sync> NsgNaiveIndex<D> {
             .map(|v| {
                 let candidates: Vec<Neighbor> =
                     knn.neighbors(v as u32).iter().map(|nb| Neighbor::new(nb.id, nb.dist)).collect();
-                mrng_select(&base, base.get(v), &candidates, params.max_degree.max(1), &metric)
+                neighbor::ids(&mrng_select(&base, &candidates, params.max_degree.max(1), &metric))
             })
             .collect();
         Self {
@@ -120,7 +120,6 @@ impl<D: Distance + Sync> AnnIndex for NsgNaiveIndex<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsg_core::neighbor;
     use nsg_vectors::distance::SquaredEuclidean;
     use nsg_vectors::ground_truth::exact_knn;
     use nsg_vectors::metrics::mean_precision;

@@ -30,7 +30,6 @@ fn bench_build(c: &mut Criterion) {
                     build_pool_size: 60,
                     max_degree: 30,
                     knn: knn_params,
-                    reverse_insert: true,
                     seed: 3,
                 },
             ))

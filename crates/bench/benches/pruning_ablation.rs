@@ -31,7 +31,7 @@ fn bench_pruning(c: &mut Criterion) {
             black_box(NsgIndex::build(
                 Arc::clone(&base),
                 SquaredEuclidean,
-                NsgParams { build_pool_size: 60, max_degree: 30, knn, reverse_insert: true, seed: 3 },
+                NsgParams { build_pool_size: 60, max_degree: 30, knn, seed: 3 },
             ))
         })
     });

@@ -161,7 +161,6 @@ fn bench_traversal(c: &mut Criterion) {
             build_pool_size: 60,
             max_degree: 30,
             knn: NnDescentParams { k: 40, ..Default::default() },
-            reverse_insert: true,
             seed: 3,
         },
     );

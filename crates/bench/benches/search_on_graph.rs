@@ -25,7 +25,7 @@ fn bench_search(c: &mut Criterion) {
         Arc::clone(&base),
         SquaredEuclidean,
         &knn,
-        NsgParams { build_pool_size: 60, max_degree: 30, knn: knn_params, reverse_insert: true, seed: 3 },
+        NsgParams { build_pool_size: 60, max_degree: 30, knn: knn_params, seed: 3 },
     );
 
     // One reused context per benchmark: after the first iteration warms its

@@ -39,7 +39,6 @@ fn main() {
                         build_pool_size: 60,
                         max_degree: 30,
                         knn: knn_params,
-                        reverse_insert: true,
                         seed: 3,
                     },
                 )

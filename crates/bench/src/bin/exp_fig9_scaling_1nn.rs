@@ -34,7 +34,6 @@ pub fn time_at_precision(
             build_pool_size: 60,
             max_degree: 30,
             knn: NnDescentParams { k: 40, ..Default::default() },
-            reverse_insert: true,
             seed: 3,
         },
     );

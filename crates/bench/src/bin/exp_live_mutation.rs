@@ -55,7 +55,6 @@ fn main() {
         build_pool_size: 60,
         max_degree: 30,
         knn: NnDescentParams { k: 40, ..Default::default() },
-        reverse_insert: true,
         seed: 7,
     };
 

@@ -217,7 +217,6 @@ fn main() {
             build_pool_size: 40,
             max_degree: 24,
             knn: NnDescentParams { k: 30, ..Default::default() },
-            reverse_insert: true,
             seed: 7,
         },
     ));

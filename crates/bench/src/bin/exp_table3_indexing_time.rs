@@ -45,7 +45,6 @@ fn main() {
                     build_pool_size: 60,
                     max_degree: 30,
                     knn: knn_params,
-                    reverse_insert: true,
                     seed: 7,
                 },
             )

@@ -49,7 +49,6 @@ fn main() {
         build_pool_size: 80,
         max_degree: 30,
         knn: NnDescentParams { k: 40, ..Default::default() },
-        reverse_insert: true,
         seed: 31,
     };
 

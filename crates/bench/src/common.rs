@@ -109,7 +109,6 @@ pub fn build_graph_methods(base: &Arc<VectorSet>) -> Vec<BuiltGraphIndex> {
                 build_pool_size: 60,
                 max_degree: 30,
                 knn,
-                reverse_insert: true,
                 seed: 7,
             },
         )

@@ -762,7 +762,6 @@ mod tests {
             build_pool_size: 40,
             max_degree: 16,
             knn: NnDescentParams { k: 24, ..Default::default() },
-            reverse_insert: true,
             seed: 11,
         }
     }

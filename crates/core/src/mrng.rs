@@ -16,7 +16,7 @@
 //! paper (the practical index is the NSG).
 
 use crate::graph::{DirectedGraph, GraphView};
-use crate::neighbor::Neighbor;
+use crate::neighbor::{self, Neighbor};
 use nsg_vectors::distance::Distance;
 use nsg_vectors::VectorSet;
 use rayon::prelude::*;
@@ -35,17 +35,16 @@ pub struct MrngParams {
 /// distance to the node. This is the paper's edge-selection strategy, shared
 /// verbatim by the NSG pruning step (Algorithm 2 lines 9–22).
 ///
-/// `candidates` must be sorted ascending by `dist` and must not contain the
-/// node itself. Returns the selected neighbor ids in selection order.
+/// `candidates` must be sorted ascending by `dist` (their distance to the
+/// node) and must not contain the node itself. Returns the selected
+/// candidates, distances included, in selection order.
 pub fn mrng_select<D: Distance + ?Sized>(
     base: &VectorSet,
-    node: &[f32],
     candidates: &[Neighbor],
     max_degree: usize,
     metric: &D,
-) -> Vec<u32> {
+) -> Vec<Neighbor> {
     debug_assert!(candidates.windows(2).all(|w| w[0].dist <= w[1].dist));
-    let _ = node;
     let mut selected: Vec<Neighbor> = Vec::with_capacity(max_degree.min(candidates.len()));
     for &c in candidates {
         if selected.len() >= max_degree {
@@ -65,7 +64,7 @@ pub fn mrng_select<D: Distance + ?Sized>(
             selected.push(c);
         }
     }
-    selected.into_iter().map(|n| n.id).collect()
+    selected
 }
 
 /// Builds the exact MRNG of `base` under `metric` (O(n²) distance
@@ -86,7 +85,7 @@ pub fn build_mrng<D: Distance + Sync + ?Sized>(
                 .map(|q| Neighbor::new(q as u32, metric.distance(pv, base.get(q))))
                 .collect();
             candidates.sort_unstable_by(Neighbor::ordering);
-            mrng_select(base, pv, &candidates, cap, metric)
+            neighbor::ids(&mrng_select(base, &candidates, cap, metric))
         })
         .collect();
     DirectedGraph::from_adjacency(adjacency)
@@ -327,8 +326,8 @@ mod tests {
         // survives (every farther point has the closer one inside the lune).
         let base = VectorSet::from_rows(1, &[[0.0], [1.0], [2.0], [3.0]]);
         let candidates = vec![Neighbor::new(1, 1.0), Neighbor::new(2, 4.0), Neighbor::new(3, 9.0)];
-        let sel = mrng_select(&base, base.get(0), &candidates, 10, &SquaredEuclidean);
-        assert_eq!(sel, vec![1]);
+        let sel = mrng_select(&base, &candidates, 10, &SquaredEuclidean);
+        assert_eq!(sel, vec![Neighbor::new(1, 1.0)]);
     }
 
     #[test]
@@ -342,7 +341,7 @@ mod tests {
         let candidates: Vec<Neighbor> = (1..5)
             .map(|q| Neighbor::new(q as u32, SquaredEuclidean.distance(base.get(0), base.get(q))))
             .collect();
-        let sel = mrng_select(&base, base.get(0), &candidates, 10, &SquaredEuclidean);
+        let sel = mrng_select(&base, &candidates, 10, &SquaredEuclidean);
         assert_eq!(sel.len(), 4);
     }
 

@@ -10,7 +10,9 @@
 //!    neighbors form the candidate set, which is pruned with the MRNG edge
 //!    selection down to at most `m` out-edges,
 //! 4. insert reverse edges under the same pruning rule (the `InterInsert` step
-//!    of the released implementation),
+//!    of the released implementation): each node takes the nodes that chose
+//!    it in step 3, in ascending id order, so the graph is the same at any
+//!    worker count,
 //! 5. span a DFS tree from the navigating node and reconnect any node that is
 //!    unreachable by linking it to its nearest reachable neighbor found with
 //!    Algorithm 1.
@@ -22,7 +24,7 @@ use crate::context::SearchContext;
 use crate::graph::{CompactGraph, DirectedGraph};
 use crate::index::{AnnIndex, SearchRequest};
 use crate::mrng::mrng_select;
-use crate::neighbor::Neighbor;
+use crate::neighbor::{self, Neighbor};
 use crate::search::{exact_rerank, search_collect, search_on_graph, search_on_graph_into, SearchParams};
 use nsg_knn::{build_nn_descent, KnnGraph, NnDescentParams};
 use nsg_obs::TraceStage;
@@ -30,7 +32,6 @@ use nsg_vectors::distance::Distance;
 use nsg_vectors::quant::Sq8VectorSet;
 use nsg_vectors::store::VectorStore;
 use nsg_vectors::VectorSet;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -58,10 +59,6 @@ pub struct NsgParams {
     /// Parameters of the NN-Descent kNN-graph build (ignored when an existing
     /// kNN graph is supplied).
     pub knn: NnDescentParams,
-    /// Whether to add reverse edges under the pruning rule after the forward
-    /// pass (the `InterInsert` step of the released NSG code). Disabling it is
-    /// one of the ablations.
-    pub reverse_insert: bool,
     /// Seed of the random starting node used to locate the navigating node.
     pub seed: u64,
 }
@@ -76,7 +73,6 @@ impl Default for NsgParams {
             // at small k it cannot get (the reference implementation builds
             // its kNN graphs with k in the hundreds).
             knn: NnDescentParams { k: 50, ..NnDescentParams::default() },
-            reverse_insert: true,
             seed: 0x4E53_4721, // "NSG!"
         }
     }
@@ -175,7 +171,7 @@ impl<D: Distance + Sync> NsgIndex<D> {
         let m = params.max_degree.max(1);
         let phase_started = Instant::now();
         let collect_params = SearchParams::new(params.build_pool_size, params.build_pool_size); // lint:allow(params-construction): build-time search-collect pass, effort fixed by BuildParams
-        let selected: Vec<Vec<u32>> = (0..n)
+        let selected: Vec<Vec<Neighbor>> = (0..n)
             .into_par_iter()
             .map_init(
                 || SearchContext::for_points(n),
@@ -195,64 +191,47 @@ impl<D: Distance + Sync> NsgIndex<D> {
                     candidates.retain(|c| c.id as usize != v);
                     candidates.sort_unstable_by(Neighbor::ordering);
                     candidates.dedup_by_key(|c| c.id);
-                    mrng_select(&base, query, &candidates, m, &metric)
+                    mrng_select(&base, &candidates, m, &metric)
                 },
             )
             .collect();
         publish_phase_nanos("nsg_build_select_nanos", phase_started);
 
-        // Step iii-b: reverse-edge insertion under the same pruning rule.
+        // Step iii-b: reverse-edge insertion under the same pruning rule. Each
+        // forward edge v -> u proposes v to u. The proposals are grouped by
+        // target with their sources in ascending order, so every target's
+        // list is a function of `selected` alone: the targets run in
+        // parallel, share no state, and give the same graph at any worker
+        // count.
         let phase_started = Instant::now();
-        let lists: Vec<Mutex<Vec<Neighbor>>> = selected
-            .iter()
-            .enumerate()
-            .map(|(v, ids)| {
-                Mutex::new(
-                    ids.iter()
-                        .map(|&u| Neighbor::new(u, metric.distance(base.get(v), base.get(u as usize))))
-                        .collect(),
-                )
+        let mut proposers: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
+        for (v, out) in selected.iter().enumerate() {
+            for nb in out {
+                proposers[nb.id as usize].push(Neighbor::new(v as u32, nb.dist));
+            }
+        }
+        let adjacency: Vec<Vec<u32>> = (0..n)
+            .into_par_iter()
+            .map(|u| {
+                let mut list = selected[u].clone();
+                for &proposal in &proposers[u] {
+                    if list.iter().any(|nb| nb.id == proposal.id) {
+                        continue;
+                    }
+                    if list.len() < m {
+                        list.push(proposal);
+                        continue;
+                    }
+                    // The list is full: re-run the pruning over list ∪ {v}
+                    // and keep the survivors (bounded by m).
+                    list.push(proposal);
+                    list.sort_unstable_by(Neighbor::ordering);
+                    list = mrng_select(&base, &list, m, &metric);
+                }
+                neighbor::ids(&list)
             })
             .collect();
-        if params.reverse_insert {
-            (0..n).into_par_iter().for_each(|v| {
-                let out: Vec<u32> = lists[v].lock().iter().map(|nb| nb.id).collect();
-                for u in out {
-                    let d_vu = metric.distance(base.get(v), base.get(u as usize));
-                    let mut target = lists[u as usize].lock();
-                    if target.iter().any(|t| t.id as usize == v) {
-                        continue;
-                    }
-                    if target.len() < m {
-                        target.push(Neighbor::new(v as u32, d_vu));
-                        continue;
-                    }
-                    // The list is full: re-run the pruning over list ∪ {v} and
-                    // keep the survivors (bounded by m).
-                    let mut candidates: Vec<Neighbor> = target.clone();
-                    candidates.push(Neighbor::new(v as u32, d_vu));
-                    candidates.sort_unstable_by(Neighbor::ordering);
-                    let kept = mrng_select(&base, base.get(u as usize), &candidates, m, &metric);
-                    *target = kept
-                        .into_iter()
-                        .map(|id| {
-                            let d = candidates
-                                .iter()
-                                .find(|c| c.id == id)
-                                .map(|c| c.dist)
-                                .unwrap_or_else(|| metric.distance(base.get(u as usize), base.get(id as usize)));
-                            Neighbor::new(id, d)
-                        })
-                        .collect();
-                }
-            });
-        }
-        let mut graph = DirectedGraph::from_adjacency(
-            lists
-                .into_iter()
-                .map(|l| l.into_inner().into_iter().map(|nb| nb.id).collect())
-                .collect(),
-        );
+        let mut graph = DirectedGraph::from_adjacency(adjacency);
         publish_phase_nanos("nsg_build_reverse_insert_nanos", phase_started);
 
         // Step iv: DFS tree spanning from the navigating node; reconnect
@@ -491,7 +470,6 @@ impl<D: Distance + Sync, S: VectorStore> AnnIndex for NsgIndex<D, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighbor;
     use crate::stats;
     use nsg_knn::build_exact_knn_graph;
     use nsg_vectors::distance::SquaredEuclidean;
@@ -504,7 +482,6 @@ mod tests {
             build_pool_size: 40,
             max_degree: 24,
             knn: NnDescentParams { k: 40, ..Default::default() },
-            reverse_insert: true,
             seed: 1,
         }
     }

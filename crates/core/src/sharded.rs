@@ -181,7 +181,6 @@ mod tests {
             build_pool_size: 40,
             max_degree: 20,
             knn: NnDescentParams { k: 30, ..Default::default() },
-            reverse_insert: true,
             seed: 3,
         }
     }

@@ -150,7 +150,6 @@ mod tests {
             build_pool_size: 30,
             max_degree: 16,
             knn: NnDescentParams { k: 16, ..Default::default() },
-            reverse_insert: true,
             seed: 11,
         };
         let points =

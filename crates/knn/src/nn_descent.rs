@@ -15,7 +15,12 @@
 //!
 //! Node lists are protected by per-node `parking_lot` mutexes so the join step
 //! parallelizes over nodes with rayon, mirroring the 8-thread builds of the
-//! paper.
+//! paper. The joins of one iteration insert in an order that depends on
+//! thread timing, but the lists do not: a list keeps the `k` smallest
+//! (distance, id) pairs it was offered, whatever the order. The one
+//! remaining race is the per-iteration update count, which counts pairs that
+//! changed either list at the time they were tried; it can differ between
+//! worker counts, and with it the iteration at which the build stops.
 
 use crate::graph::{KnnGraph, ScoredNeighbor};
 use nsg_vectors::distance::Distance;
@@ -78,18 +83,21 @@ impl NodeList {
         }
     }
 
-    /// Inserts a candidate, keeping the list sorted and bounded.
-    /// Returns true when the list changed.
+    /// Inserts a candidate, keeping the list sorted by (distance, id) and
+    /// bounded. A full list takes the candidate only if it orders before the
+    /// worst entry, so exact distance ties are broken by id and the list ends
+    /// as the `capacity` smallest of everything offered, in any arrival
+    /// order. Returns true when the list changed.
     fn insert(&mut self, id: u32, dist: f32) -> bool {
         if self.entries.iter().any(|e| e.neighbor.id == id) {
             return false;
         }
+        let neighbor = ScoredNeighbor::new(id, dist);
         if self.entries.len() >= self.capacity
-            && self.entries.last().is_some_and(|worst| dist >= worst.neighbor.dist)
+            && self.entries.last().is_some_and(|worst| neighbor >= worst.neighbor)
         {
             return false;
         }
-        let neighbor = ScoredNeighbor::new(id, dist);
         let pos = self
             .entries
             .partition_point(|e| e.neighbor < neighbor);
@@ -328,16 +336,5 @@ mod tests {
         let g1 = build_nn_descent(&single, NnDescentParams::default(), &SquaredEuclidean);
         assert_eq!(g1.len(), 1);
         assert!(g1.neighbors(0).is_empty());
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed_on_small_input() {
-        // The exact-fallback path and the randomized path must both be
-        // reproducible for a fixed seed.
-        let base = uniform(500, 8, 3);
-        let p = NnDescentParams { k: 6, sample: 6, max_iters: 4, ..Default::default() };
-        let a = build_nn_descent(&base, p, &SquaredEuclidean);
-        let b = build_nn_descent(&base, p, &SquaredEuclidean);
-        assert_eq!(a.len(), b.len());
     }
 }

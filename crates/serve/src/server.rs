@@ -567,7 +567,6 @@ mod tests {
                 build_pool_size: 20,
                 max_degree: 12,
                 knn: NnDescentParams { k: 12, ..Default::default() },
-                reverse_insert: true,
                 seed,
             },
         );

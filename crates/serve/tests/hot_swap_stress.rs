@@ -38,7 +38,6 @@ fn build_index(size: usize, seed: u64) -> Arc<dyn AnnIndex> {
             build_pool_size: 20,
             max_degree: 12,
             knn: NnDescentParams { k: 12, ..Default::default() },
-            reverse_insert: true,
             seed,
         },
     ))

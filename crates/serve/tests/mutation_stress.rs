@@ -46,7 +46,6 @@ fn readers_see_consistent_results_while_writers_mutate_and_compactions_fire() {
             build_pool_size: 20,
             max_degree: 12,
             knn: NnDescentParams { k: 12, ..Default::default() },
-            reverse_insert: true,
             seed: 42,
         },
     );

@@ -28,7 +28,6 @@ fn params(seed: u64) -> NsgParams {
         build_pool_size: 24,
         max_degree: 14,
         knn: NnDescentParams { k: 14, ..Default::default() },
-        reverse_insert: true,
         seed,
     }
 }

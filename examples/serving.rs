@@ -16,7 +16,6 @@ fn build_index(base: Arc<VectorSet>, seed: u64) -> Arc<dyn AnnIndex> {
             build_pool_size: 40,
             max_degree: 24,
             knn: NnDescentParams { k: 30, ..Default::default() },
-            reverse_insert: true,
             seed,
         },
     ))

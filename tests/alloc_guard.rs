@@ -107,7 +107,6 @@ fn nsg_search_into_is_allocation_free_after_warmup() {
             build_pool_size: 50,
             max_degree: 24,
             knn: NnDescentParams { k: 36, ..Default::default() },
-            reverse_insert: true,
             seed: 5,
         },
     );
@@ -159,7 +158,6 @@ fn traced_search_into_is_allocation_free_after_warmup() {
             build_pool_size: 50,
             max_degree: 24,
             knn: NnDescentParams { k: 36, ..Default::default() },
-            reverse_insert: true,
             seed: 5,
         },
     );
@@ -205,7 +203,6 @@ fn merged_delta_search_is_allocation_free_after_warmup() {
             build_pool_size: 50,
             max_degree: 24,
             knn: NnDescentParams { k: 36, ..Default::default() },
-            reverse_insert: true,
             seed: 5,
         },
     );
@@ -273,7 +270,6 @@ fn quantized_two_phase_search_is_allocation_free_after_warmup() {
             build_pool_size: 50,
             max_degree: 24,
             knn: NnDescentParams { k: 36, ..Default::default() },
-            reverse_insert: true,
             seed: 5,
         },
     )
@@ -374,7 +370,6 @@ fn raw_search_on_graph_into_is_allocation_free_after_warmup() {
             build_pool_size: 40,
             max_degree: 20,
             knn: NnDescentParams { k: 30, ..Default::default() },
-            reverse_insert: true,
             seed: 9,
         },
     );
@@ -427,7 +422,6 @@ fn served_query_round_trip_is_allocation_free_after_warmup() {
             build_pool_size: 40,
             max_degree: 20,
             knn: NnDescentParams { k: 30, ..Default::default() },
-            reverse_insert: true,
             seed: 3,
         },
     );
@@ -498,7 +492,6 @@ fn served_query_over_a_mapped_snapshot_is_allocation_free_after_warmup() {
             build_pool_size: 40,
             max_degree: 20,
             knn: NnDescentParams { k: 30, ..Default::default() },
-            reverse_insert: true,
             seed: 31,
         },
     )

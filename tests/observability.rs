@@ -16,7 +16,6 @@ fn build_small_index(seed: u64) -> (Arc<VectorSet>, VectorSet, NsgIndex<SquaredE
             build_pool_size: 40,
             max_degree: 20,
             knn: NnDescentParams { k: 30, ..Default::default() },
-            reverse_insert: true,
             seed: 11,
         },
     );

@@ -74,17 +74,16 @@ proptest! {
             .map(|q| Neighbor::new(q, SquaredEuclidean.distance(&node, base.get(q as usize))))
             .collect();
         candidates.sort_by(Neighbor::ordering);
-        let selected = mrng_select(&base, &node, &candidates, cap, &SquaredEuclidean);
+        let selected = mrng_select(&base, &candidates, cap, &SquaredEuclidean);
         prop_assert!(selected.len() <= cap);
-        let candidate_ids: Vec<u32> = candidates.iter().map(|c| c.id).collect();
         let mut seen = std::collections::HashSet::new();
-        for id in &selected {
-            prop_assert!(candidate_ids.contains(id));
-            prop_assert!(seen.insert(*id), "duplicate id {id} selected");
+        for nb in &selected {
+            prop_assert!(candidates.contains(nb), "{nb:?} is not a candidate");
+            prop_assert!(seen.insert(nb.id), "duplicate id {} selected", nb.id);
         }
         if !candidates.is_empty() {
             // The closest candidate always survives.
-            prop_assert_eq!(selected.first().copied(), Some(candidates[0].id));
+            prop_assert_eq!(selected.first().copied(), Some(candidates[0]));
         }
     }
 
@@ -244,7 +243,6 @@ proptest! {
             build_pool_size: 16,
             max_degree: 8,
             knn: NnDescentParams { k: 8, ..Default::default() },
-            reverse_insert: true,
             seed: 5,
         };
         let frozen = NsgIndex::build(std::sync::Arc::new(base.clone()), SquaredEuclidean, params);

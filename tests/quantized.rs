@@ -17,7 +17,6 @@ fn build_params() -> NsgParams {
         build_pool_size: 50,
         max_degree: 24,
         knn: NnDescentParams { k: 36, ..Default::default() },
-        reverse_insert: true,
         seed: 7,
     }
 }

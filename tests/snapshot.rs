@@ -6,15 +6,20 @@
 //! for both the flat and the quantized (two-phase rerank) query paths, on
 //! both the real `mmap(2)` mapping and the portable aligned-copy fallback.
 //! Corrupt and truncated files must come back as `SerializeError`, never a
-//! panic, at the same bounded-decode bar as the streaming formats.
+//! panic, at the same bounded-decode bar as the streaming formats. The
+//! snapshot bytes also witness that a build does not depend on the worker
+//! count.
 
 use nsg::core::SerializeError;
 use nsg::core::snapshot::{
     snapshot_to_bytes, write_quantized_snapshot, write_snapshot, Snapshot,
 };
 use nsg::prelude::*;
+use nsg_vectors::synthetic::{sift_like, uniform};
 use nsg_vectors::DistanceKind;
 use proptest::prelude::*;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 fn params(seed: u64) -> NsgParams {
@@ -22,7 +27,6 @@ fn params(seed: u64) -> NsgParams {
         build_pool_size: 16,
         max_degree: 8,
         knn: NnDescentParams { k: 8, ..Default::default() },
-        reverse_insert: true,
         seed,
     }
 }
@@ -216,4 +220,78 @@ fn snapshot_survives_file_deletion_while_mapped() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Set in the environment of a re-run of this binary to make
+/// [`build_bytes_are_identical_at_any_worker_count`] act as a build child.
+const BUILD_CHILD: &str = "NSG_TEST_BUILD_CHILD";
+
+/// The build is a pure function of the data and the parameters: the NSG2
+/// bytes of `NsgIndex::build` (NN-Descent + Algorithm 2) are the same at one
+/// and at four rayon workers. The worker count is fixed once per process,
+/// so the test re-runs its own binary as one child per count; each child
+/// builds a uniform and a clustered (integer-valued, so rich in exact
+/// distance ties) input and prints a hash of each snapshot.
+///
+/// NN-Descent stops on its iteration cap here, not on its update
+/// threshold: the per-round update count is the one known order-dependent
+/// number left in the build (see `nsg_knn::nn_descent`), and a round whose
+/// count lands near the threshold could stop one worker count a round
+/// earlier than the other.
+#[test]
+fn build_bytes_are_identical_at_any_worker_count() {
+    const NAME: &str = "build_bytes_are_identical_at_any_worker_count";
+    if std::env::var_os(BUILD_CHILD).is_some() {
+        let params = NsgParams {
+            build_pool_size: 12,
+            max_degree: 8,
+            knn: NnDescentParams { k: 8, sample: 4, max_iters: 4, ..Default::default() },
+            seed: 1,
+        };
+        for (name, base) in [("uniform", uniform(1200, 8, 5)), ("sift_like", sift_like(1200, 7))] {
+            let index = NsgIndex::build(Arc::new(base), SquaredEuclidean, params);
+            let bytes = snapshot_to_bytes(
+                index.graph(),
+                index.navigating_node(),
+                index.base(),
+                DistanceKind::SquaredEuclidean,
+                None,
+            )
+            .unwrap();
+            let mut hasher = DefaultHasher::new();
+            bytes.hash(&mut hasher);
+            println!("{BUILD_CHILD} {name} {:016x}", hasher.finish());
+        }
+        return;
+    }
+    let spawn = |threads: &str| {
+        Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME, "--nocapture", "--test-threads=1"])
+            .env(BUILD_CHILD, "1")
+            .env("NSG_SHIM_THREADS", threads)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let children = [("1", spawn("1")), ("4", spawn("4"))];
+    let hashes: Vec<Vec<String>> = children
+        .into_iter()
+        .map(|(threads, child)| {
+            let out = child.wait_with_output().unwrap();
+            assert!(
+                out.status.success(),
+                "build child at {threads} workers failed:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            // libtest may print its own status on the same line.
+            let lines: Vec<String> = String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .filter_map(|line| line.split_once(BUILD_CHILD).map(|(_, hash)| hash.to_owned()))
+                .collect();
+            assert_eq!(lines.len(), 2, "build child at {threads} workers printed {lines:?}");
+            lines
+        })
+        .collect();
+    assert_eq!(hashes[0], hashes[1], "the build depends on the worker count");
 }
