@@ -60,8 +60,8 @@ pub struct FanngIndex<D> {
 }
 
 impl<D: Distance + Sync> FanngIndex<D> {
-    /// Builds the kNN graph with NN-Descent and prunes it with the occlusion
-    /// rule.
+    /// Builds the kNN graph with `build_nn_descent` (exact below its join
+    /// budget, NN-Descent above) and prunes it with the occlusion rule.
     pub fn build(base: Arc<VectorSet>, metric: D, params: FanngParams) -> Self {
         let knn = build_nn_descent(&base, params.knn, &metric);
         Self::from_knn_graph(base, metric, &knn, params)

@@ -1,10 +1,17 @@
-//! KGraph / GNNS baseline: Algorithm 1 run directly on the (approximate) kNN
-//! graph with random entry points.
+//! KGraph / GNNS baseline: Algorithm 1 run directly on the kNN graph with
+//! random entry points.
 //!
 //! This is the simplest graph baseline of the paper (Tables 2–4, Figure 6).
 //! Its index is just the kNN graph, so its out-degree equals the graph's `k`
 //! — which is why the paper reports KGraph's optimal degree in the hundreds
 //! and a correspondingly large index.
+//!
+//! The paper's KGraph is NN-Descent's approximate graph. [`KGraphIndex::build`]
+//! takes whatever `nsg_knn::build_nn_descent` returns, which is the exact kNN
+//! graph wherever the exact scan computes no more distances than NN-Descent's
+//! join budget (n ≤ 14 161 at the default sample and rounds). At the
+//! laptop scale of the experiments this baseline therefore searches the
+//! exact graph, a slightly better graph than the paper's.
 
 use nsg_core::context::SearchContext;
 use nsg_core::graph::CompactGraph;
@@ -63,7 +70,8 @@ pub struct KGraphIndex<D, S: VectorStore = VectorSet> {
 }
 
 impl<D: Distance + Sync> KGraphIndex<D> {
-    /// Builds the kNN graph with NN-Descent and wraps it for searching.
+    /// Builds the kNN graph with `build_nn_descent` (exact below its join
+    /// budget, NN-Descent above) and wraps it for searching.
     pub fn build(base: Arc<VectorSet>, metric: D, params: KGraphParams) -> Self {
         let knn = build_nn_descent(&base, params.knn, &metric);
         Self::from_knn_graph(base, metric, &knn, params)

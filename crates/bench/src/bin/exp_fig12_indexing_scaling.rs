@@ -5,6 +5,11 @@
 //! Paper shape to check: the measured exponent sits near
 //! O(N^{1 + 1/d} log N^{1/d}) ≈ N^1.1–1.3, i.e. slightly super-linear but far
 //! below the O(N^2) of the exact MRNG construction.
+//!
+//! The "knn-graph time" column is not the paper's NN-Descent time: at these
+//! sizes (N ≤ 12 000) `build_nn_descent` runs the exact scan, whose
+//! `N(N−1)/2` distances are within NN-Descent's join budget up to
+//! N = 14 161 at the default sample and rounds, so that column grows as N^2.
 
 use nsg_bench::common::{output_dir, standard_knn_params, Scale};
 use nsg_core::nsg::{NsgIndex, NsgParams};

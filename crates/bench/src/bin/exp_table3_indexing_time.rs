@@ -7,6 +7,12 @@
 //! Paper shape to check: NSG's own preprocessing (t2) is comparable to the
 //! kNN-graph construction; FANNG is by far the slowest; KGraph/Efanna/DPG sit
 //! between.
+//!
+//! Reproduction-scale caveat: `build_nn_descent` returns the exact kNN graph
+//! wherever the exact scan computes no more distances than NN-Descent's join
+//! budget (n ≤ 14 161 at the default sample and rounds), which covers every
+//! set here. So t1, and the kNN stage inside every baseline's time, is the
+//! symmetric exact scan, not NN-Descent as in the paper.
 
 use nsg_bench::common::{build_graph_methods, output_dir, standard_knn_params, Scale};
 use nsg_core::nsg::{NsgIndex, NsgParams};

@@ -2,7 +2,10 @@
 //!
 //! The NSG approximates the MRNG while keeping indexing practical:
 //!
-//! 1. build an approximate kNN graph (NN-Descent, provided by `nsg-knn`),
+//! 1. build a kNN graph with `nsg_knn::build_nn_descent`: the exact graph
+//!    from a symmetric tiled scan wherever its `n(n−1)/2` distances cost no
+//!    more than NN-Descent's join budget (n ≤ 14 161 with the default
+//!    params), NN-Descent's approximate graph above,
 //! 2. locate the **navigating node**: the approximate medoid found by
 //!    searching the kNN graph for the dataset centroid,
 //! 3. for every node `v`, run the *search-collect* routine from the navigating
@@ -56,8 +59,8 @@ pub struct NsgParams {
     pub build_pool_size: usize,
     /// Maximum out-degree `m` of the final graph.
     pub max_degree: usize,
-    /// Parameters of the NN-Descent kNN-graph build (ignored when an existing
-    /// kNN graph is supplied).
+    /// Parameters of the kNN-graph build (`nsg_knn::build_nn_descent`;
+    /// ignored when an existing kNN graph is supplied).
     pub knn: NnDescentParams,
     /// Seed of the random starting node used to locate the navigating node.
     pub seed: u64,
@@ -109,7 +112,8 @@ pub type QuantizedNsg<D> = NsgIndex<D, Sq8VectorSet>;
 
 impl<D: Distance + Sync> NsgIndex<D> {
     /// Builds an NSG over `base`, constructing the intermediate kNN graph with
-    /// NN-Descent (`params.knn`).
+    /// `build_nn_descent(params.knn)`: exact below NN-Descent's join budget,
+    /// NN-Descent above it.
     pub fn build(base: Arc<VectorSet>, metric: D, params: NsgParams) -> Self {
         let knn = build_nn_descent(&base, params.knn, &metric);
         Self::build_from_knn(base, metric, &knn, params)

@@ -10,11 +10,13 @@
 //!
 //! * [`graph::KnnGraph`] — the shared adjacency representation (per-node list
 //!   of `(neighbor id, distance)` sorted by distance),
-//! * [`bruteforce`] — an exact, rayon-parallel kNN-graph builder used at small
-//!   scale and as a quality reference,
-//! * [`nn_descent`] — the NN-Descent algorithm with neighbor-of-neighbor
-//!   joins, sampling and early termination, matching the construction used in
-//!   the paper.
+//! * [`bruteforce`] — the exact builder: a symmetric scan that scores each
+//!   pair once, over row tiles paired on a lock-free round-robin schedule;
+//!   the quality reference for NN-Descent,
+//! * [`nn_descent`] — [`build_nn_descent`], which runs the exact scan
+//!   wherever it costs no more than NN-Descent's join budget and otherwise
+//!   the NN-Descent algorithm with neighbor-of-neighbor joins, sampling and
+//!   early termination, matching the construction used in the paper.
 
 pub mod bruteforce;
 pub mod graph;

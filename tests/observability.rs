@@ -112,8 +112,7 @@ fn build_pipeline_publishes_phase_counters_to_the_global_registry() {
     let (_base, _queries, _index) = build_small_index(53);
     let obs = nsg::obs::global();
     for name in [
-        "nsg_build_nn_descent_rounds",
-        "nsg_build_nn_descent_nanos",
+        "nsg_build_knn_nanos",
         "nsg_build_medoid_nanos",
         "nsg_build_select_nanos",
         "nsg_build_reverse_insert_nanos",

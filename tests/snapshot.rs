@@ -227,17 +227,18 @@ fn snapshot_survives_file_deletion_while_mapped() {
 const BUILD_CHILD: &str = "NSG_TEST_BUILD_CHILD";
 
 /// The build is a pure function of the data and the parameters: the NSG2
-/// bytes of `NsgIndex::build` (NN-Descent + Algorithm 2) are the same at one
+/// bytes of `NsgIndex::build` (kNN graph + Algorithm 2) are the same at one
 /// and at four rayon workers. The worker count is fixed once per process,
 /// so the test re-runs its own binary as one child per count; each child
-/// builds a uniform and a clustered (integer-valued, so rich in exact
-/// distance ties) input and prints a hash of each snapshot.
-///
-/// NN-Descent stops on its iteration cap here, not on its update
-/// threshold: the per-round update count is the one known order-dependent
-/// number left in the build (see `nsg_knn::nn_descent`), and a round whose
-/// count lands near the threshold could stop one worker count a round
-/// earlier than the other.
+/// builds three inputs and prints a hash of each snapshot. With these
+/// params (sample 4, 4 rounds) the kNN builder takes the exact scan up to
+/// 737 points and NN-Descent above, so the uniform and the clustered
+/// (integer-valued, so rich in exact distance ties) 1200-point inputs run
+/// NN-Descent and the 700-point input runs the tiled exact scan. Both
+/// NN-Descent builds run all 4 rounds, so each child also builds one kNN
+/// graph whose NN-Descent stops on its `delta·n·k` threshold before
+/// `max_iters` (sample 2, 12 rounds: NN-Descent above 529 points), checks
+/// that it did, and prints a hash of the lists and the round count.
 #[test]
 fn build_bytes_are_identical_at_any_worker_count() {
     const NAME: &str = "build_bytes_are_identical_at_any_worker_count";
@@ -248,7 +249,11 @@ fn build_bytes_are_identical_at_any_worker_count() {
             knn: NnDescentParams { k: 8, sample: 4, max_iters: 4, ..Default::default() },
             seed: 1,
         };
-        for (name, base) in [("uniform", uniform(1200, 8, 5)), ("sift_like", sift_like(1200, 7))] {
+        for (name, base) in [
+            ("uniform", uniform(1200, 8, 5)),
+            ("sift_like", sift_like(1200, 7)),
+            ("uniform_exact", uniform(700, 8, 5)),
+        ] {
             let index = NsgIndex::build(Arc::new(base), SquaredEuclidean, params);
             let bytes = snapshot_to_bytes(
                 index.graph(),
@@ -262,6 +267,20 @@ fn build_bytes_are_identical_at_any_worker_count() {
             bytes.hash(&mut hasher);
             println!("{BUILD_CHILD} {name} {:016x}", hasher.finish());
         }
+
+        let knn = NnDescentParams { k: 8, sample: 2, max_iters: 12, delta: 0.1, ..Default::default() };
+        let rounds = nsg::obs::global().counter("nsg_build_nn_descent_rounds");
+        let before = rounds.get();
+        let graph = build_nn_descent(&uniform(600, 4, 5), knn, &SquaredEuclidean);
+        let ran = rounds.get() - before;
+        assert!(ran > 0 && ran < knn.max_iters as u64, "NN-Descent ran {ran} rounds");
+        let mut hasher = DefaultHasher::new();
+        for v in 0..graph.len() as u32 {
+            for e in graph.neighbors(v) {
+                (e.id, e.dist.to_bits()).hash(&mut hasher);
+            }
+        }
+        println!("{BUILD_CHILD} knn_threshold_stop {:016x} rounds {ran}", hasher.finish());
         return;
     }
     let spawn = |threads: &str| {
@@ -289,7 +308,7 @@ fn build_bytes_are_identical_at_any_worker_count() {
                 .lines()
                 .filter_map(|line| line.split_once(BUILD_CHILD).map(|(_, hash)| hash.to_owned()))
                 .collect();
-            assert_eq!(lines.len(), 2, "build child at {threads} workers printed {lines:?}");
+            assert_eq!(lines.len(), 4, "build child at {threads} workers printed {lines:?}");
             lines
         })
         .collect();
