@@ -1,62 +1,55 @@
-//! Live mutation: a delta layer over a frozen [`NsgIndex`].
+//! Live mutation: inserts and deletes joined into a frozen [`NsgIndex`] as
+//! one graph.
 //!
-//! NSG's offline pipeline (Algorithm 2) produces a frozen CSR graph that
-//! cannot absorb inserts or deletes. A [`MutableIndex`] makes the frozen
-//! index serve a churning corpus by layering three small structures on top:
+//! A [`MutableIndex`] never writes the frozen CSR (it may be mmap-ed, its
+//! store SQ8). Beside it, in the combined `base + inserted` id space, it
+//! keeps the inserted `f32` rows and their out-lists, **patched out-lists**
+//! for the base nodes that gained reverse edges (found through a dense
+//! per-base-node slot, so a hop over an untouched base node costs one load
+//! and a branch), and a **tombstone bitmap**.
 //!
-//! * a **delta graph** — an NSW-style incrementally built [`DirectedGraph`]
-//!   over the vectors inserted since the last freeze. Malkov & Yashunin's
-//!   observation that "insertions are handled the same way as queries"
-//!   applies directly: a new point is located by running Algorithm 1 against
-//!   the frozen base *and* the current delta graph, then linked
-//!   bidirectionally to its nearest delta neighbors (degree-capped with a
-//!   distance prune, as in the NSW baseline);
-//! * **anchors** — for every inserted point, the ids of its nearest frozen
-//!   base neighbors found at insert time. Queries seed the delta search from
-//!   the anchors adjacent to their base answer (plus salted random entries),
-//!   so the delta traversal starts inside the query's true neighborhood
-//!   instead of relying on random entries alone;
-//! * a **tombstone bitmap** over the combined `base + delta` id space.
-//!   Deleting is setting a bit. Tombstoned nodes keep their edges and stay
-//!   traversable — removing them would disconnect the graph — and are
-//!   filtered only when results are extracted, so navigability is unaffected.
+//! Inserts are handled the way queries are, as in NSW and HNSW: Algorithm 1
+//! on the combined graph from the navigating node (pool `l`) locates the new
+//! point, and Algorithm 2's rules link it. Its out-list is `mrng_select`
+//! over the pool; each selected node takes the reverse edge under
+//! InterInsert's rule (push below `m`, else re-prune the list ∪ {new},
+//! taking the list as already pruned). A re-prune drops an
+//! edge `u → w` only when a node it keeps also links to `w`, and an insert
+//! that no selected node kept is attached by the connectivity repair rule
+//! (the nearest pool node with room, else the nearest), so every node stays
+//! reachable from the navigating node. With an empty base, the first insert
+//! is the entry point.
 //!
-//! Search runs Algorithm 1 on the base CSR, runs the same loop on the delta
-//! graph, and merges both answers through the context's scored buffer; the
-//! warm mutate-free query path performs **zero heap allocation** (enforced
-//! by `tests/alloc_guard.rs`). Readers hold the state read-lock for the
-//! duration of one query; writers serialize on the write lock.
+//! A query is **one** Algorithm 1 pass over the combined graph. Base ids are
+//! scored by the base store, bit-identical to the frozen index; inserted ids
+//! exactly against their `f32` rows. Deleted nodes keep routing (removing
+//! them would disconnect the graph): tombstones only gate extraction, whose
+//! budget is widened by the tombstone count, and rerank spans both row sets.
+//! The warm query path allocates nothing (`tests/alloc_guard.rs`). Readers
+//! hold the state read-lock for one query; writers serialize on the write
+//! lock.
 //!
-//! [`compact`](MutableIndex::compact) folds the layers back down: it gathers
-//! the live rows (base + delta minus tombstones), re-runs the full Algorithm 2
-//! build over them, and returns a successor index with an empty delta. The
-//! old index is **sealed** — replaying any mutation that raced the rebuild
-//! into the successor first — so a serving layer can install the successor
-//! (e.g. via `IndexHandle::swap`) without losing writes: mutations rejected
-//! with [`MutateError::Sealed`] are retried against the successor. External
-//! ids are renumbered by compaction; they are only meaningful relative to
-//! the index generation that returned them.
+//! [`compact`](MutableIndex::compact) folds everything into a fresh frozen
+//! index and seals this one, replaying mutations that raced the rebuild, so
+//! a serving layer can swap the successor in without losing writes.
 
 use crate::context::SearchContext;
-use crate::graph::DirectedGraph;
+use crate::graph::{CompactGraph, GraphView};
 use crate::index::{AnnIndex, SearchRequest};
-use crate::neighbor::Neighbor;
-use crate::nsg::{NsgIndex, NsgParams};
-use crate::search::{
-    search_from_context_entries, search_on_graph_into, SearchParams, SearchStats,
-};
+use crate::mrng::{mrng_select, Rows};
+use crate::neighbor::{self, Neighbor};
+use crate::nsg::NsgIndex;
+use crate::search::{search_on_graph_into, SearchParams};
 use nsg_obs::TraceStage;
 use nsg_vectors::distance::Distance;
 use nsg_vectors::quant::Sq8VectorSet;
-use nsg_vectors::sample::query_salt;
-use nsg_vectors::store::VectorStore;
+use nsg_vectors::store::{QueryScratch, VectorStore};
 use nsg_vectors::VectorSet;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Growable tombstone bitmap over the combined `base + delta` id space
+/// Growable tombstone bitmap over the combined `base + inserted` id space
 /// (the `fixedbitset` shape: one bit per id, 64 ids per word).
 #[derive(Debug, Clone, Default)]
 pub struct Tombstones {
@@ -86,7 +79,7 @@ impl Tombstones {
     }
 
     /// Whether `id` is tombstoned. Ids past the allocated words are live —
-    /// the query path probes with delta ids that may postdate the last `set`.
+    /// the query path probes with inserted ids that may postdate the last `set`.
     // lint:hot-path
     pub fn contains(&self, id: u32) -> bool {
         self.bits
@@ -110,43 +103,7 @@ impl Tombstones {
     }
 }
 
-/// Construction knobs of the delta layer. The defaults are derived from the
-/// base index's [`NsgParams`] so the delta search effort matches what the
-/// frozen graph was built with.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaConfig {
-    /// Out-degree target `m` of delta nodes: each insert links to its `m`
-    /// nearest delta neighbors bidirectionally, and a node whose in-links
-    /// push it past `2m` is pruned back to its `m` closest.
-    pub max_degree: usize,
-    /// Candidate pool `l` of the insert-time searches (both the base-anchor
-    /// search and the delta link search).
-    pub build_pool_size: usize,
-    /// How many frozen-base neighbors are recorded as anchors per insert.
-    pub anchor_count: usize,
-    /// Seed of the salted random entries of the delta search.
-    pub seed: u64,
-}
-
-impl DeltaConfig {
-    /// Derives a delta configuration from the base index's build parameters.
-    pub fn from_nsg(params: &NsgParams) -> Self {
-        Self {
-            max_degree: params.max_degree.max(1),
-            build_pool_size: params.build_pool_size.max(1),
-            anchor_count: 4,
-            seed: params.seed,
-        }
-    }
-}
-
-impl Default for DeltaConfig {
-    fn default() -> Self {
-        Self::from_nsg(&NsgParams::default())
-    }
-}
-
-/// A point-in-time census of the delta layer, used by serving layers to
+/// A point-in-time census of the mutation layer, used by serving layers to
 /// decide when to compact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaStats {
@@ -154,7 +111,7 @@ pub struct DeltaStats {
     pub base_len: usize,
     /// Rows inserted since the last freeze.
     pub delta_len: usize,
-    /// Tombstoned ids (base or delta).
+    /// Tombstoned ids (base or inserted).
     pub tombstones: usize,
     /// Whether a completed compaction sealed this index.
     pub sealed: bool,
@@ -171,22 +128,15 @@ impl DeltaStats {
         self.total().saturating_sub(self.tombstones)
     }
 
-    /// Fraction of the corpus living in the delta graph (0 when empty).
+    /// Fraction of the ids that were inserted since the last freeze (0 when
+    /// empty).
     pub fn delta_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.delta_len as f64 / self.total() as f64
-        }
+        self.delta_len as f64 / self.total().max(1) as f64
     }
 
     /// Fraction of ids that are tombstoned (0 when empty).
     pub fn tombstone_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.tombstones as f64 / self.total() as f64
-        }
+        self.tombstones as f64 / self.total().max(1) as f64
     }
 }
 
@@ -203,36 +153,210 @@ pub enum MutateError {
         /// The submitted vector's length.
         got: usize,
     },
+    /// The vector has a NaN or infinite coordinate. Its distances would be
+    /// NaN or infinite, and the edges linking it in would carry them into
+    /// other nodes' lists.
+    NonFinite,
 }
 
 impl fmt::Display for MutateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MutateError::Sealed => {
-                write!(f, "index sealed by compaction; mutate the successor")
-            }
+            MutateError::Sealed => write!(f, "index sealed by compaction; mutate the successor"),
             MutateError::DimMismatch { expected, got } => {
                 write!(f, "vector has {got} dimensions, index expects {expected}")
             }
+            MutateError::NonFinite => write!(f, "vector has a NaN or infinite coordinate"),
         }
     }
 }
 
 impl std::error::Error for MutateError {}
 
+/// Marks a base node whose out-list is still the CSR's.
+const UNPATCHED: u32 = u32::MAX;
+
+/// The out-lists the mutation layer lays over the frozen CSR.
+#[derive(Default)]
+struct Links {
+    /// Out-list of inserted node `base_len + j` at index `j`.
+    inserted: Vec<Vec<u32>>,
+    /// Per base node, its index into `patched` or [`UNPATCHED`]; empty until
+    /// the first patch.
+    slot: Vec<u32>,
+    /// Out-lists of the base nodes that gained reverse edges.
+    patched: Vec<Vec<u32>>,
+}
+
+impl Links {
+    /// Out-list of `v` in the combined graph.
+    // lint:hot-path
+    fn neighbors<'a>(&'a self, csr: &'a CompactGraph, v: u32) -> &'a [u32] {
+        let (i, base_len) = (v as usize, csr.num_nodes());
+        if i >= base_len {
+            return &self.inserted[i - base_len];
+        }
+        match self.slot.get(i) {
+            Some(&s) if s != UNPATCHED => &self.patched[s as usize],
+            _ => csr.neighbors(v),
+        }
+    }
+
+    /// Mutable out-list of `v`; a base node's CSR list is copied into a patch
+    /// on first touch.
+    fn list_mut(&mut self, csr: &CompactGraph, v: u32) -> &mut Vec<u32> {
+        let (i, base_len) = (v as usize, csr.num_nodes());
+        if i >= base_len {
+            return &mut self.inserted[i - base_len];
+        }
+        if self.slot.is_empty() {
+            self.slot = vec![UNPATCHED; base_len];
+        }
+        if self.slot[i] == UNPATCHED {
+            self.slot[i] = self.patched.len() as u32;
+            self.patched.push(csr.neighbors(v).to_vec());
+        }
+        &mut self.patched[self.slot[i] as usize]
+    }
+
+    /// Algorithm 2's InterInsert for the reverse edge `u → x` of a new node
+    /// `x` (`x.dist` is `d(u, x)`): push below `m`, else re-prune list ∪ {x}
+    /// under the MRNG rule, taking the list as already pruned — a pair
+    /// (x, w) conflicts iff `d(x, w)` is below the larger of their distances
+    /// to `u`, and the farther one goes; past `m` the farthest go. That is
+    /// two distances per member, not one per pair. An edge `u → w` is dropped
+    /// only if a kept node links to `w`; if keeping the others overflows `m`,
+    /// the list stays. Returns whether `u` now links to `x`.
+    fn inter_insert<D: Distance>(
+        &mut self, csr: &CompactGraph, rows: &AllRows<'_>, metric: &D, u: u32, x: Neighbor, m: usize,
+    ) -> bool {
+        let list = self.neighbors(csr, u);
+        if list.len() < m {
+            self.list_mut(csr, u).push(x.id);
+            return true;
+        }
+        let (own, new_row) = (rows.row(u), rows.row(x.id));
+        let mut scored: Vec<Neighbor> =
+            list.iter().map(|&w| Neighbor::new(w, metric.distance(own, rows.row(w)))).collect();
+        scored.push(x);
+        scored.sort_unstable_by(Neighbor::ordering);
+        let (mut kept, mut past_x) = (Vec::with_capacity(m + 1), false);
+        for nb in &scored {
+            if nb.id == x.id {
+                past_x = true;
+                kept.push(x.id);
+            } else if metric.distance(new_row, rows.row(nb.id)) >= nb.dist.max(x.dist) {
+                kept.push(nb.id);
+            } else if !past_x {
+                return false;
+            }
+        }
+        kept.truncate(m);
+        if !kept.contains(&x.id) {
+            return false;
+        }
+        for &w in list {
+            if !kept.contains(&w) && !kept.iter().any(|&r| self.neighbors(csr, r).contains(&w)) {
+                kept.push(w);
+            }
+        }
+        if kept.len() > m {
+            return false;
+        }
+        *self.list_mut(csr, u) = kept;
+        true
+    }
+
+    /// Resident bytes of the lists and the slot table.
+    fn memory_bytes(&self) -> usize {
+        let lists = self.inserted.iter().chain(&self.patched);
+        lists.map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>()).sum::<usize>() + self.slot.len() * 4
+    }
+}
+
+/// Exact `f32` rows over the combined id space: the base's retained rows,
+/// then the inserted ones.
+struct AllRows<'a> {
+    base: &'a VectorSet,
+    inserted: &'a VectorSet,
+}
+
+impl Rows for AllRows<'_> {
+    fn row(&self, id: u32) -> &[f32] {
+        let i = id as usize;
+        match i.checked_sub(self.base.len()) {
+            None => self.base.get(i),
+            Some(j) => self.inserted.get(j),
+        }
+    }
+}
+
+/// What one Algorithm 1 pass walks on a mutated index: as a [`GraphView`],
+/// the CSR through the patches followed by the inserted nodes; as a
+/// [`VectorStore`], the base store for base ids (bit-identical to the frozen
+/// index) and exact distances to the inserted rows.
+struct Combined<'a, S> {
+    csr: &'a CompactGraph,
+    links: &'a Links,
+    store: &'a S,
+    rows: AllRows<'a>,
+    /// The raw query: an SQ8 base prepares a transformed form of it.
+    query: &'a [f32],
+}
+
+impl<S> GraphView for Combined<'_, S> {
+    fn num_nodes(&self) -> usize {
+        self.csr.num_nodes() + self.links.inserted.len()
+    }
+
+    fn neighbors(&self, v: u32) -> &[u32] {
+        self.links.neighbors(self.csr, v)
+    }
+}
+
+impl<S: VectorStore> VectorStore for Combined<'_, S> {
+    fn len(&self) -> usize {
+        self.rows.base.len() + self.rows.inserted.len()
+    }
+
+    fn dim(&self) -> usize {
+        self.rows.inserted.dim()
+    }
+
+    fn prefetch(&self, id: usize) {
+        match id.checked_sub(self.rows.base.len()) {
+            None => self.store.prefetch(id),
+            Some(j) => self.rows.inserted.prefetch(j),
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.store.memory_bytes() + self.rows.inserted.memory_bytes()
+    }
+
+    fn prepare_query<D: Distance + ?Sized>(&self, metric: &D, query: &[f32], scratch: &mut QueryScratch) {
+        self.store.prepare_query(metric, query, scratch);
+    }
+
+    // lint:hot-path
+    fn dist_to<D: Distance + ?Sized>(&self, metric: &D, scratch: &QueryScratch, id: usize) -> f32 {
+        match id.checked_sub(self.rows.base.len()) {
+            None => self.store.dist_to(metric, scratch, id),
+            Some(j) => metric.distance(self.query, self.rows.inserted.get(j)),
+        }
+    }
+}
+
 /// The mutable half of [`MutableIndex`], guarded by one `RwLock`: queries
 /// take it shared for the duration of a search, mutations take it exclusive.
-#[derive(Debug)]
 struct DeltaState {
-    /// Vectors inserted since the last freeze (delta id = row index).
+    /// Vectors inserted since the last freeze (id `base_len + j` is row `j`).
     rows: VectorSet,
-    /// NSW-style incremental graph over the delta rows.
-    links: DirectedGraph,
-    /// Frozen base id → delta ids anchored to it at insert time.
-    anchors: HashMap<u32, Vec<u32>>,
-    /// Dead ids over the combined `base + delta` space.
+    /// Out-lists of the inserted nodes and patches of the base nodes.
+    links: Links,
+    /// Dead ids over the combined `base + inserted` space.
     tombstones: Tombstones,
-    /// Reused scratch of the insert-time searches.
+    /// Reused scratch of the insert-time search.
     writer: SearchContext,
     /// Set once a compaction has replayed this state into its successor;
     /// all further mutations are rejected with [`MutateError::Sealed`].
@@ -244,14 +368,14 @@ struct DeltaState {
 struct ReplayPlan {
     /// Old external id → compacted id (`u32::MAX` for dropped rows).
     old_to_new: Vec<u32>,
-    /// Delta length at gather time; later rows are replayed as inserts.
+    /// Inserted-row count at gather time; later rows are replayed as inserts.
     gathered_delta: usize,
     /// Tombstones at gather time; bits set later are replayed as deletes.
     gathered_tombstones: Tombstones,
 }
 
-/// A frozen [`NsgIndex`] plus a mutable delta layer: the serving-time
-/// insert/delete story (see the module docs for the design).
+/// A frozen [`NsgIndex`] plus a mutable layer that joins inserts into its
+/// graph (see the module docs).
 ///
 /// Cloning is deliberately not offered: wrap the index in an [`Arc`] and
 /// share it — queries only need `&self`.
@@ -260,35 +384,19 @@ pub struct MutableIndex<D, S: VectorStore = VectorSet> {
     /// Copy of the base metric, taken once at construction so the query and
     /// insert paths stay monomorphized without touching the accessor.
     metric: D,
-    config: DeltaConfig,
     state: RwLock<DeltaState>,
 }
 
 impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
-    /// Wraps a frozen index with an empty delta layer; the delta
-    /// configuration is derived from the base build parameters.
+    /// Wraps a frozen index with an empty mutation layer. Inserts are linked
+    /// with the base's build parameters: pool `l = build_pool_size` and
+    /// degree cap `m = max_degree`.
     pub fn new(base: NsgIndex<D, S>) -> Self {
-        let config = DeltaConfig::from_nsg(base.params());
-        Self::with_config(base, config)
-    }
-
-    /// Wraps a frozen index with an explicit delta configuration.
-    pub fn with_config(base: NsgIndex<D, S>, config: DeltaConfig) -> Self {
         let metric = base.metric().clone();
-        let dim = base.base().dim();
-        Self {
-            base,
-            metric,
-            config,
-            state: RwLock::new(DeltaState {
-                rows: VectorSet::new(dim),
-                links: DirectedGraph::new(0),
-                anchors: HashMap::new(),
-                tombstones: Tombstones::new(),
-                writer: SearchContext::new(),
-                sealed: false,
-            }),
-        }
+        let rows = VectorSet::new(base.base().dim());
+        let (links, tombstones, writer) = (Links::default(), Tombstones::new(), SearchContext::new());
+        let state = RwLock::new(DeltaState { rows, links, tombstones, writer, sealed: false });
+        Self { base, metric, state }
     }
 
     /// The frozen base index.
@@ -296,12 +404,7 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
         &self.base
     }
 
-    /// The delta-layer configuration.
-    pub fn config(&self) -> &DeltaConfig {
-        &self.config
-    }
-
-    /// A point-in-time census of the delta layer.
+    /// A point-in-time census of the mutation layer.
     pub fn delta_stats(&self) -> DeltaStats {
         let st = self.state.read();
         DeltaStats {
@@ -312,129 +415,107 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
         }
     }
 
-    /// Inserts a vector, returning its external id (`base_len + delta id`).
-    ///
-    /// The new point is located with the same searches a query runs (base
-    /// CSR from the navigating node, delta graph from salted random
-    /// entries), linked bidirectionally to its nearest delta neighbors, and
-    /// anchored to its nearest frozen base neighbors so later queries seed
-    /// the delta search from it. The insert path may allocate — only the
-    /// mutate-free query path carries the zero-allocation contract.
+    /// The out-lists of the combined graph by external id (a copy, for
+    /// invariant checks). Searches start at the base's navigating node,
+    /// which is the first inserted id when the base is empty.
+    pub fn adjacency(&self) -> Vec<Vec<u32>> {
+        let st = self.state.read();
+        let graph = self.combined(&st.links, &st.rows, &[]);
+        (0..graph.num_nodes() as u32).map(|v| graph.neighbors(v).to_vec()).collect()
+    }
+
+    /// The combined graph and store over `links` and `inserted`, scoring
+    /// against `query`.
+    fn combined<'a>(&'a self, links: &'a Links, inserted: &'a VectorSet, query: &'a [f32]) -> Combined<'a, S> {
+        let rows = AllRows { base: self.base.base(), inserted };
+        Combined { csr: self.base.graph(), links, store: self.base.store().as_ref(), rows, query }
+    }
+
+    /// Inserts a vector, returning its external id (`base_len + j` for the
+    /// `j`-th insert since the last freeze). The point is located and linked
+    /// as the module docs describe. The insert path may allocate — only the
+    /// query path carries the zero-allocation contract.
     pub fn insert(&self, vector: &[f32]) -> Result<u32, MutateError> {
         let dim = self.base.base().dim();
         if vector.len() != dim {
             return Err(MutateError::DimMismatch { expected: dim, got: vector.len() });
         }
+        if !vector.iter().all(|x| x.is_finite()) {
+            return Err(MutateError::NonFinite);
+        }
         let mut guard = self.state.write();
         let st = &mut *guard;
         if st.sealed {
             return Err(MutateError::Sealed);
         }
-        let base_len = self.base.base().len();
-        let effort = self.config.build_pool_size.max(self.config.max_degree).max(1);
-        // Insert-time candidate searches use the build pool `l`, exactly like
-        // the NSW baseline's construction searches.
-        // lint:allow(params-construction): build-time search, not a query-path effort knob
-        let params = SearchParams::new(effort, effort);
+        let params = self.base.params();
+        let (csr, m, l) = (self.base.graph(), params.max_degree.max(1), params.build_pool_size.max(1));
+        let id = (self.base.base().len() + st.rows.len()) as u32;
 
-        // Anchor candidates: Algorithm 1 on the frozen base.
-        st.writer.scored.clear();
-        if base_len > 0 {
-            search_on_graph_into(
-                self.base.graph(),
-                self.base.store().as_ref(),
-                vector,
-                &[self.base.navigating_node()],
-                params,
-                &self.metric,
-                &mut st.writer,
-            );
-            let scored = &mut st.writer.scored;
-            scored.extend_from_slice(&st.writer.results);
+        // Locate: Algorithm 1 on the combined graph with the build pool.
+        st.writer.results.clear();
+        if id > 0 {
+            // lint:allow(params-construction): build-time search, not a query-path effort knob
+            let params = SearchParams::new(l, l);
+            let view = self.combined(&st.links, &st.rows, vector);
+            let entry = [self.base.navigating_node()];
+            search_on_graph_into(&view, &view, vector, &entry, params, &self.metric, &mut st.writer);
         }
-
-        // Link candidates: the same loop on the current delta graph, seeded
-        // from salted random entries plus delta nodes anchored near the base
-        // answer.
-        let internal = st.rows.len() as u32;
-        if !st.rows.is_empty() {
-            let entry_count = params.pool_size.min(st.rows.len());
-            st.writer.fill_random_entries(
-                st.rows.len(),
-                entry_count,
-                self.config.seed,
-                query_salt(vector),
-            );
-            for i in 0..st.writer.scored.len() {
-                if let Some(anchored) = st.anchors.get(&st.writer.scored[i].id) {
-                    st.writer.entries.extend_from_slice(anchored);
-                }
-            }
-            search_from_context_entries(&st.links, &st.rows, vector, params, &self.metric, &mut st.writer);
-        } else {
-            st.writer.results.clear();
-        }
-
-        // Append the node and link it into the delta graph.
         st.rows.push(vector);
-        let node = st.links.push_node();
-        debug_assert_eq!(node, internal);
-        let m = self.config.max_degree.max(1);
-        for i in 0..st.writer.results.len().min(m) {
-            let cand = st.writer.results[i].id;
-            st.links.add_edge(internal, cand);
-            st.links.add_edge(cand, internal);
-            if st.links.out_degree(cand) > 2 * m {
-                prune_delta_node(&mut st.links, &st.rows, &self.metric, cand, m);
-            }
-        }
+        let rows = AllRows { base: self.base.base(), inserted: &st.rows };
 
-        // Record the frozen-base anchors.
-        let anchor_n = self.config.anchor_count.min(st.writer.scored.len());
-        for i in 0..anchor_n {
-            let base_id = st.writer.scored[i].id;
-            st.anchors.entry(base_id).or_default().push(internal);
+        // Select: the MRNG rule over the pool, on exact distances (an SQ8
+        // base scored it approximately).
+        let mut pool = std::mem::take(&mut st.writer.scored);
+        pool.clear();
+        let exact = |nb: &Neighbor| Neighbor::new(nb.id, self.metric.distance(vector, rows.row(nb.id)));
+        pool.extend(st.writer.results.iter().map(exact));
+        pool.sort_unstable_by(Neighbor::ordering);
+        let out = mrng_select(&rows, &pool, m, &self.metric);
+        st.links.inserted.push(neighbor::ids(&out));
+
+        // Link back: InterInsert into every selected node, then the repair
+        // rule if none of them kept the new node.
+        let mut linked = false;
+        for nb in &out {
+            linked |= st.links.inter_insert(csr, &rows, &self.metric, nb.id, Neighbor::new(id, nb.dist), m);
         }
-        Ok(base_len as u32 + internal)
+        if let (false, Some(nearest)) = (linked, pool.first()) {
+            let attach = pool.iter().find(|nb| st.links.neighbors(csr, nb.id).len() < m).unwrap_or(nearest);
+            st.links.list_mut(csr, attach.id).push(id);
+        }
+        st.writer.scored = pool;
+        Ok(id)
     }
 
-    /// Tombstones an external id (base or delta). Returns `Ok(true)` when
+    /// Tombstones an external id (base or inserted). Returns `Ok(true)` when
     /// the id was live, `Ok(false)` when it was already dead or out of
     /// range; the vector and its edges remain in the graph (navigability is
     /// preserved), it just stops being returned.
     pub fn delete(&self, id: u32) -> Result<bool, MutateError> {
-        let mut guard = self.state.write();
-        let st = &mut *guard;
+        let mut st = self.state.write();
         if st.sealed {
             return Err(MutateError::Sealed);
         }
-        let total = self.base.base().len() + st.rows.len();
-        if (id as usize) >= total {
+        if (id as usize) >= self.base.base().len() + st.rows.len() {
             return Ok(false);
         }
         Ok(st.tombstones.set(id))
     }
 
-    /// Gathers the live rows (base + delta minus tombstones) and the replay
+    /// Gathers the live rows (base + inserted minus tombstones) and the replay
     /// bookkeeping for [`seal_and_replay`](Self::seal_and_replay).
     fn gather_live(&self) -> (VectorSet, ReplayPlan) {
         let st = self.state.read();
-        let base_rows = self.base.base();
-        let base_len = base_rows.len();
-        let total = base_len + st.rows.len();
-        let mut rows = VectorSet::with_capacity(base_rows.dim(), total);
+        let all = AllRows { base: self.base.base(), inserted: &st.rows };
+        let total = all.base.len() + st.rows.len();
+        let mut rows = VectorSet::with_capacity(all.base.dim(), total);
         let mut old_to_new = vec![u32::MAX; total];
         for (ext, slot) in old_to_new.iter_mut().enumerate() {
-            if st.tombstones.contains(ext as u32) {
-                continue;
+            if !st.tombstones.contains(ext as u32) {
+                *slot = rows.len() as u32;
+                rows.push(all.row(ext as u32));
             }
-            let row = if ext < base_len {
-                base_rows.get(ext)
-            } else {
-                st.rows.get(ext - base_len)
-            };
-            *slot = rows.len() as u32;
-            rows.push(row);
         }
         let plan = ReplayPlan {
             old_to_new,
@@ -474,101 +555,40 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
         st.sealed = true;
     }
 
-    /// The merged query: Algorithm 1 on the frozen base, the same loop on
-    /// the delta graph (anchor- and random-seeded), a sorted merge through
-    /// the context's scored buffer with tombstones filtered at extraction,
-    /// and an optional exact-rerank pass spanning both row sets. Zero heap
-    /// allocation once `ctx` is warm.
+    /// The mutated query: one Algorithm 1 pass over the combined graph from
+    /// the navigating node, tombstones filtered at extraction, and an
+    /// optional exact rerank spanning both row sets. Zero heap allocation
+    /// once `ctx` is warm.
     // lint:hot-path
-    fn merged_search(
-        &self,
-        st: &DeltaState,
-        ctx: &mut SearchContext,
-        request: &SearchRequest,
-        query: &[f32],
-    ) {
+    fn combined_search(&self, st: &DeltaState, ctx: &mut SearchContext, request: &SearchRequest, query: &[f32]) {
         ctx.tracer.arm(request.trace);
-        let base_len = self.base.base().len();
         let mut params = request.traversal_params();
-        // Tombstoned candidates are dropped at extraction, so widen each
-        // graph's extraction budget by the tombstone count (bounded by the
-        // pool) — filtering must not underfill `k`.
+        // Widen the extraction budget by the tombstone count (bounded by the
+        // pool), so filtering does not underfill `k`.
         params.k = params.k.saturating_add(st.tombstones.count()).min(params.pool_size);
+        let view = self.combined(&st.links, &st.rows, query);
+        search_on_graph_into(&view, &view, query, &[self.base.navigating_node()], params, &self.metric, ctx);
 
-        // Phase 1: the frozen base, exactly as the frozen index runs it.
-        if base_len > 0 {
-            search_on_graph_into(
-                self.base.graph(),
-                self.base.store().as_ref(),
-                query,
-                &[self.base.navigating_node()],
-                params,
-                &self.metric,
-                ctx,
-            );
-        } else {
-            ctx.results.clear();
-            ctx.stats = SearchStats::default();
-        }
-        let base_stats = ctx.stats;
-        ctx.scored.clear();
-        ctx.scored.extend_from_slice(&ctx.results);
-
-        // Phase 2: the delta graph, seeded from salted random entries plus
-        // the delta nodes anchored near the base answer. The shared loop's
-        // seeding and traversal are attributed to the delta stage for this
-        // pass.
-        if !st.rows.is_empty() {
-            let entry_count = params.pool_size.min(st.rows.len());
-            ctx.fill_random_entries(st.rows.len(), entry_count, self.config.seed, query_salt(query));
-            for i in 0..ctx.scored.len() {
-                if let Some(anchored) = st.anchors.get(&ctx.scored[i].id) {
-                    ctx.entries.extend_from_slice(anchored);
-                }
-            }
-            ctx.tracer.set_traversal_stage(TraceStage::DeltaTraversal);
-            search_from_context_entries(&st.links, &st.rows, query, params, &self.metric, ctx);
-            ctx.tracer.set_traversal_stage(TraceStage::BaseTraversal);
-            ctx.stats.accumulate(base_stats);
-            let merge_timer = ctx.tracer.begin();
-            for i in 0..ctx.results.len() {
-                let nb = ctx.results[i];
-                ctx.scored.push(Neighbor::new(nb.id + base_len as u32, nb.dist));
-            }
-            ctx.scored.sort_unstable_by(Neighbor::ordering);
-            ctx.tracer.finish(TraceStage::SortedMerge, merge_timer, 0);
-        } else {
-            ctx.stats = base_stats;
-        }
-
-        // Phase 3: tombstone-filtered extraction. Dead nodes were traversed
-        // (the graph stays navigable) but never surface in the answer.
         let filter_timer = ctx.tracer.begin();
         let keep = if request.rerank_factor() > 1 { request.rerank_candidates() } else { request.k };
-        ctx.results.clear();
-        for i in 0..ctx.scored.len() {
-            if ctx.results.len() == keep {
-                break;
+        let mut kept = 0;
+        for i in 0..ctx.results.len() {
+            let nb = ctx.results[i];
+            if kept < keep && !st.tombstones.contains(nb.id) {
+                ctx.results[kept] = nb;
+                kept += 1;
             }
-            let nb = ctx.scored[i];
-            if st.tombstones.contains(nb.id) {
-                continue;
-            }
-            ctx.results.push(nb);
         }
+        ctx.results.truncate(kept);
         ctx.tracer.finish(TraceStage::TombstoneFilter, filter_timer, 0);
 
-        // Phase 4: exact rerank across both row sets when requested (the
-        // shared `exact_rerank` only addresses base rows, so the dual-source
-        // row lookup lives here).
+        // Exact rerank across both row sets (the shared `exact_rerank` only
+        // addresses base rows).
         if request.rerank_factor() > 1 {
             let rerank_timer = ctx.tracer.begin();
             let rescored = ctx.results.len() as u64;
-            let base_rows = self.base.base();
-            for i in 0..ctx.results.len() {
-                let id = ctx.results[i].id as usize;
-                let row = if id < base_len { base_rows.get(id) } else { st.rows.get(id - base_len) };
-                ctx.results[i].dist = self.metric.distance(query, row);
+            for nb in ctx.results.iter_mut() {
+                nb.dist = self.metric.distance(query, view.rows.row(nb.id));
             }
             ctx.stats.distance_computations += rescored;
             ctx.results.sort_unstable_by(Neighbor::ordering);
@@ -588,54 +608,39 @@ fn publish_compaction(started: std::time::Instant) {
     g.counter("nsg_compaction_nanos").add(nanos);
 }
 
-/// Degree prune of the NSW insertion: keep node `v`'s `m` closest neighbors
-/// by exact distance (build-time path, may allocate).
-fn prune_delta_node<D: Distance>(
-    links: &mut DirectedGraph,
-    rows: &VectorSet,
-    metric: &D,
-    v: u32,
-    m: usize,
-) {
-    let own = rows.get(v as usize);
-    let mut scored: Vec<Neighbor> = links
-        .neighbors(v)
-        .iter()
-        .map(|&u| Neighbor::new(u, metric.distance(own, rows.get(u as usize))))
-        .collect();
-    scored.sort_unstable_by(Neighbor::ordering);
-    scored.truncate(m);
-    links.set_neighbors(v, scored.iter().map(|nb| nb.id).collect());
+/// A store form a compaction rebuilds into: the rebuild runs Algorithm 2 on
+/// the live `f32` rows, then freezes the result into this form.
+pub trait Refreeze: VectorStore + Sized {
+    /// Freezes a freshly built flat index into this store's form.
+    fn refreeze<D: Distance + Sync>(built: NsgIndex<D>) -> NsgIndex<D, Self>;
 }
 
-impl<D: Distance + Clone + Sync> MutableIndex<D, VectorSet> {
-    /// Re-runs the full Algorithm 2 build over the live rows (base + delta
-    /// minus tombstones) and returns the successor with an empty delta.
-    /// `self` is sealed: mutations that raced the rebuild are replayed into
-    /// the successor first, then every later mutation is rejected with
-    /// [`MutateError::Sealed`]. Compaction renumbers external ids.
-    pub fn compact(&self) -> MutableIndex<D, VectorSet> {
-        let started = std::time::Instant::now();
-        let (rows, plan) = self.gather_live();
-        let fresh_base = NsgIndex::build(Arc::new(rows), self.metric.clone(), *self.base.params());
-        let fresh = MutableIndex::with_config(fresh_base, self.config);
-        self.seal_and_replay(&plan, &fresh);
-        publish_compaction(started);
-        fresh
+impl Refreeze for VectorSet {
+    fn refreeze<D: Distance + Sync>(built: NsgIndex<D>) -> NsgIndex<D> {
+        built
     }
 }
 
-impl<D: Distance + Clone + Sync> MutableIndex<D, Sq8VectorSet> {
-    /// [`compact`](MutableIndex::compact) for the quantized specialization:
-    /// the rebuild runs on the retained `f32` rows, then freezes back into
-    /// SQ8 form (`quantize_sq8`), preserving the memory footprint across
-    /// compactions.
-    pub fn compact(&self) -> MutableIndex<D, Sq8VectorSet> {
+/// SQ8 bases are re-quantized, keeping their memory footprint across
+/// compactions.
+impl Refreeze for Sq8VectorSet {
+    fn refreeze<D: Distance + Sync>(built: NsgIndex<D>) -> NsgIndex<D, Sq8VectorSet> {
+        built.quantize_sq8()
+    }
+}
+
+impl<D: Distance + Clone + Sync, S: Refreeze> MutableIndex<D, S> {
+    /// Re-runs the full Algorithm 2 build over the live rows (base + inserted
+    /// minus tombstones) and returns the successor with an empty layer, in
+    /// the same store form. `self` is sealed: mutations that raced the
+    /// rebuild are replayed into the successor first, then every later
+    /// mutation is rejected with [`MutateError::Sealed`]. Compaction
+    /// renumbers external ids.
+    pub fn compact(&self) -> MutableIndex<D, S> {
         let started = std::time::Instant::now();
         let (rows, plan) = self.gather_live();
-        let fresh_base = NsgIndex::build(Arc::new(rows), self.metric.clone(), *self.base.params())
-            .quantize_sq8();
-        let fresh = MutableIndex::with_config(fresh_base, self.config);
+        let built = NsgIndex::build(Arc::new(rows), self.metric.clone(), *self.base.params());
+        let fresh = MutableIndex::new(S::refreeze(built));
         self.seal_and_replay(&plan, &fresh);
         publish_compaction(started);
         fresh
@@ -662,21 +667,13 @@ impl<D: Distance + Clone + Sync, S: VectorStore> AnnIndex for MutableIndex<D, S>
             drop(st);
             return self.base.search_into(ctx, request, query);
         }
-        self.merged_search(&st, ctx, request, query);
+        self.combined_search(&st, ctx, request, query);
         &ctx.results
     }
 
     fn memory_bytes(&self) -> usize {
         let st = self.state.read();
-        let anchors: usize = st
-            .anchors
-            .values()
-            .map(|v| v.len() * std::mem::size_of::<u32>() + std::mem::size_of::<(u32, Vec<u32>)>())
-            .sum();
-        self.base.memory_bytes()
-            + st.links.memory_bytes_exact()
-            + st.tombstones.memory_bytes()
-            + anchors
+        self.base.memory_bytes() + st.links.memory_bytes() + st.tombstones.memory_bytes()
     }
 
     fn name(&self) -> &'static str {
@@ -710,7 +707,7 @@ pub struct CompactedPair {
     pub mutable: Arc<dyn MutableAnnIndex>,
 }
 
-impl<D: Distance + Clone + Send + Sync + 'static> MutableAnnIndex for MutableIndex<D, VectorSet> {
+impl<D: Distance + Clone + Send + Sync + 'static, S: Refreeze + 'static> MutableAnnIndex for MutableIndex<D, S> {
     fn insert(&self, vector: &[f32]) -> Result<u32, MutateError> {
         MutableIndex::insert(self, vector)
     }
@@ -725,32 +722,14 @@ impl<D: Distance + Clone + Send + Sync + 'static> MutableAnnIndex for MutableInd
 
     fn compact_sealed(&self) -> CompactedPair {
         let fresh = Arc::new(self.compact());
-        CompactedPair { index: Arc::<MutableIndex<D, VectorSet>>::clone(&fresh), mutable: fresh }
-    }
-}
-
-impl<D: Distance + Clone + Send + Sync + 'static> MutableAnnIndex for MutableIndex<D, Sq8VectorSet> {
-    fn insert(&self, vector: &[f32]) -> Result<u32, MutateError> {
-        MutableIndex::insert(self, vector)
-    }
-
-    fn delete(&self, id: u32) -> Result<bool, MutateError> {
-        MutableIndex::delete(self, id)
-    }
-
-    fn delta_stats(&self) -> DeltaStats {
-        MutableIndex::delta_stats(self)
-    }
-
-    fn compact_sealed(&self) -> CompactedPair {
-        let fresh = Arc::new(self.compact());
-        CompactedPair { index: Arc::<MutableIndex<D, Sq8VectorSet>>::clone(&fresh), mutable: fresh }
+        CompactedPair { index: Arc::<MutableIndex<D, S>>::clone(&fresh), mutable: fresh }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nsg::NsgParams;
     use nsg_knn::NnDescentParams;
     use nsg_vectors::distance::SquaredEuclidean;
     use nsg_vectors::ground_truth::exact_knn;
@@ -831,6 +810,25 @@ mod tests {
         let (_, index) = build_mutable(50, 8, 4);
         let err = index.insert(&[0.0; 7]).unwrap_err();
         assert_eq!(err, MutateError::DimMismatch { expected: 8, got: 7 });
+    }
+
+    #[test]
+    fn nan_rows_are_rejected() {
+        let (_, index) = build_mutable(50, 8, 4);
+        assert_eq!(index.insert(&[0.5, 0.5, 0.5, f32::NAN, 0.5, 0.5, 0.5, 0.5]), Err(MutateError::NonFinite));
+        assert_eq!(index.delta_stats().delta_len, 0);
+        assert_eq!(MutateError::NonFinite.to_string(), "vector has a NaN or infinite coordinate");
+    }
+
+    #[test]
+    fn infinite_rows_are_rejected() {
+        let (_, index) = build_mutable(50, 8, 4);
+        for bad in [f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(index.insert(&[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, bad]), Err(MutateError::NonFinite));
+        }
+        // A finite row still goes in, linked from the base.
+        let id = index.insert(&[0.5; 8]).unwrap();
+        assert!(index.adjacency()[..50].iter().any(|list| list.contains(&id)));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod stats;
 
 pub use context::SearchContext;
 pub use delta::{
-    CompactedPair, DeltaConfig, DeltaStats, MutableAnnIndex, MutableIndex, MutateError, Tombstones,
+    CompactedPair, DeltaStats, MutableAnnIndex, MutableIndex, MutateError, Tombstones,
 };
 pub use graph::{CompactGraph, DirectedGraph, GraphView};
 pub use index::{AnnIndex, SearchQuality, SearchRequest};

@@ -31,6 +31,31 @@ pub struct MrngParams {
     pub max_degree: Option<usize>,
 }
 
+/// Exact `f32` rows by id: what [`mrng_select`] reads to test the lune
+/// rule. A [`VectorSet`] is one; the live-mutation layer's view over base
+/// and inserted rows is another.
+pub trait Rows {
+    /// The row of `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    fn row(&self, id: u32) -> &[f32];
+}
+
+impl Rows for VectorSet {
+    #[inline]
+    fn row(&self, id: u32) -> &[f32] {
+        self.get(id as usize)
+    }
+}
+
+impl<R: Rows + ?Sized> Rows for std::sync::Arc<R> {
+    #[inline]
+    fn row(&self, id: u32) -> &[f32] {
+        (**self).row(id)
+    }
+}
+
 /// Selects MRNG edges for one node from candidates sorted by ascending
 /// distance to the node. This is the paper's edge-selection strategy, shared
 /// verbatim by the NSG pruning step (Algorithm 2 lines 9–22).
@@ -38,8 +63,8 @@ pub struct MrngParams {
 /// `candidates` must be sorted ascending by `dist` (their distance to the
 /// node) and must not contain the node itself. Returns the selected
 /// candidates, distances included, in selection order.
-pub fn mrng_select<D: Distance + ?Sized>(
-    base: &VectorSet,
+pub fn mrng_select<R: Rows + ?Sized, D: Distance + ?Sized>(
+    rows: &R,
     candidates: &[Neighbor],
     max_degree: usize,
     metric: &D,
@@ -57,7 +82,7 @@ pub fn mrng_select<D: Distance + ?Sized>(
         // (δ(q, r) < δ(p, q)), i.e. r lies in lune(p, q) and pq is the longest
         // edge of triangle pqr, so the edge p->q is pruned.
         let conflict = selected.iter().any(|r| {
-            let d_qr = metric.distance(base.get(c.id as usize), base.get(r.id as usize));
+            let d_qr = metric.distance(rows.row(c.id), rows.row(r.id));
             d_qr < c.dist
         });
         if !conflict {

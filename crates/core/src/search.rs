@@ -22,6 +22,7 @@
 use crate::context::SearchContext;
 use crate::graph::GraphView;
 use crate::neighbor::Neighbor;
+use nsg_obs::TraceStage;
 use nsg_vectors::distance::Distance;
 use nsg_vectors::store::VectorStore;
 use nsg_vectors::VectorSet;
@@ -210,7 +211,7 @@ fn run_search<G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Siz
         }
     }
     let seed_distances = ctx.stats.distance_computations;
-    ctx.tracer.finish_seeding(seed_timer, seed_distances);
+    ctx.tracer.finish(TraceStage::EntrySeeding, seed_timer, seed_distances);
 
     // Algorithm 1 main loop: expand the first unchecked candidate until the
     // pool is fully checked.
@@ -241,8 +242,8 @@ fn run_search<G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Siz
             ctx.pool.insert(n, d);
         }
     }
-    ctx.tracer
-        .finish_traversal(traversal_timer, ctx.stats.distance_computations - seed_distances);
+    let traversal_distances = ctx.stats.distance_computations - seed_distances;
+    ctx.tracer.finish(TraceStage::BaseTraversal, traversal_timer, traversal_distances);
 
     ctx.results.clear();
     ctx.pool.top_k_into(params.k, &mut ctx.results);

@@ -4,20 +4,16 @@
 //!   their standard sizes, shared by every experiment binary,
 //! * [`sweep`] — QPS-vs-precision sweeps over an index's effort knob
 //!   (regenerates Figures 6 and 7),
-//! * [`mutation`] — recall-vs-delta-fraction sweeps for the live-mutation
-//!   subsystem (merged base+delta search vs a full rebuild),
 //! * [`timing`] — wall-clock helpers for indexing-time tables,
 //! * [`scaling`] — log-log scaling-law fits for the complexity experiments
 //!   (Figures 9–12),
 //! * [`report`] — aligned-text and CSV table emission.
 
 pub mod datasets;
-pub mod mutation;
 pub mod report;
 pub mod scaling;
 pub mod sweep;
 pub mod timing;
 
-pub use mutation::{sweep_delta_fractions, DeltaSweepPoint};
 pub use report::Table;
 pub use sweep::{memory_recall_row, sweep_index, sweep_index_requests, MemoryRecallRow, SweepPoint};

@@ -17,28 +17,30 @@
 
 use std::time::Instant;
 
-/// The stages a query can pass through, in execution order. Base-only
-/// queries touch a prefix plus the rerank tail; merged base+delta queries
-/// (the live-mutation path) touch all six.
+/// The stages a query can pass through, in execution order. Frozen-index
+/// queries touch seeding, the traversal and the rerank tail; queries on a
+/// mutated index (the live-mutation path) add the tombstone filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStage {
-    /// Scoring the entry points that seed the frozen base's candidate pool.
+    /// Scoring the entry points that seed the candidate pool.
     EntrySeeding = 0,
-    /// The Algorithm 1 expansion loop over the frozen base graph.
+    /// The Algorithm 1 expansion loop over the index graph (on a mutated
+    /// index, over base and inserted nodes alike).
     BaseTraversal = 1,
-    /// The delta pass (live-mutation path only): scoring its entry points
-    /// and the same loop over the delta graph.
+    /// A second traversal over a separate delta graph. Nothing records it
+    /// now: a mutated index joins its inserts into one graph and walks it in
+    /// one pass, charged to the stages above. The stage is kept so readers
+    /// that name it (a per-layer "delta share" of distance computations)
+    /// read 0.
     DeltaTraversal = 2,
-    /// Merging base and delta candidates into one sorted stream.
-    SortedMerge = 3,
     /// Dropping tombstoned ids while extracting the top-k.
-    TombstoneFilter = 4,
+    TombstoneFilter = 3,
     /// Exact rescoring of quantized-traversal candidates.
-    ExactRerank = 5,
+    ExactRerank = 4,
 }
 
 /// Number of [`TraceStage`] variants.
-pub const STAGE_COUNT: usize = 6;
+pub const STAGE_COUNT: usize = 5;
 
 impl TraceStage {
     /// Every stage, in execution order.
@@ -46,7 +48,6 @@ impl TraceStage {
         TraceStage::EntrySeeding,
         TraceStage::BaseTraversal,
         TraceStage::DeltaTraversal,
-        TraceStage::SortedMerge,
         TraceStage::TombstoneFilter,
         TraceStage::ExactRerank,
     ];
@@ -57,7 +58,6 @@ impl TraceStage {
             TraceStage::EntrySeeding => "entry_seeding",
             TraceStage::BaseTraversal => "base_traversal",
             TraceStage::DeltaTraversal => "delta_traversal",
-            TraceStage::SortedMerge => "sorted_merge",
             TraceStage::TombstoneFilter => "tombstone_filter",
             TraceStage::ExactRerank => "exact_rerank",
         }
@@ -107,10 +107,6 @@ pub struct TraceRecorder {
     seen: u64,
     /// Whether the current query is being traced.
     enabled: bool,
-    /// Which traversal stage the shared Algorithm 1 loop is currently
-    /// attributed to: the merged-search path flips this to
-    /// `DeltaTraversal` around its delta pass.
-    traversal: TraceStage,
     trace: QueryTrace,
 }
 
@@ -127,7 +123,6 @@ impl TraceRecorder {
         Self {
             seen: 0,
             enabled: false,
-            traversal: TraceStage::BaseTraversal,
             trace: QueryTrace {
                 stages: [StageSample { nanos: 0, distance_computations: 0 }; STAGE_COUNT],
             },
@@ -142,7 +137,6 @@ impl TraceRecorder {
         self.seen = self.seen.wrapping_add(1);
         if every != 0 && self.seen.is_multiple_of(u64::from(every)) {
             self.enabled = true;
-            self.traversal = TraceStage::BaseTraversal;
             self.trace = QueryTrace::default();
         } else {
             self.enabled = false;
@@ -175,33 +169,6 @@ impl TraceRecorder {
             sample.nanos += nanos;
             sample.distance_computations += distance_computations;
         }
-    }
-
-    /// Closes a stage timer against the current traversal attribution (see
-    /// [`set_traversal_stage`](Self::set_traversal_stage)).
-    // lint:hot-path
-    pub fn finish_traversal(&mut self, started: Option<Instant>, distance_computations: u64) {
-        self.finish(self.traversal, started, distance_computations);
-    }
-
-    /// Closes the entry-seeding timer. Seeding a delta pass is part of that
-    /// pass, so under a `DeltaTraversal` attribution it is charged there: a
-    /// delta small enough to be seeded whole leaves its traversal loop with
-    /// nothing to score, and its cost must still show up as delta work.
-    // lint:hot-path
-    pub fn finish_seeding(&mut self, started: Option<Instant>, distance_computations: u64) {
-        let stage = match self.traversal {
-            TraceStage::DeltaTraversal => TraceStage::DeltaTraversal,
-            _ => TraceStage::EntrySeeding,
-        };
-        self.finish(stage, started, distance_computations);
-    }
-
-    /// Redirects the shared traversal loop's attribution (the merged
-    /// base+delta search brackets its delta pass with
-    /// `DeltaTraversal`/`BaseTraversal`).
-    pub fn set_traversal_stage(&mut self, stage: TraceStage) {
-        self.traversal = stage;
     }
 
     /// The trace of the most recent sampled query, if the current query was
@@ -283,44 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn traversal_attribution_is_redirectable() {
-        let mut rec = TraceRecorder::new();
-        rec.arm(1);
-        let t = rec.begin();
-        rec.finish_traversal(t, 4);
-        rec.set_traversal_stage(TraceStage::DeltaTraversal);
-        let t = rec.begin();
-        rec.finish_traversal(t, 6);
-        let trace = rec.trace().expect("sampled");
-        assert_eq!(trace.stage(TraceStage::BaseTraversal).distance_computations, 4);
-        assert_eq!(trace.stage(TraceStage::DeltaTraversal).distance_computations, 6);
-        // A fresh arm resets both the trace and the attribution.
-        rec.arm(1);
-        let trace = rec.trace().expect("sampled");
-        assert_eq!(trace.total_distance_computations(), 0);
-        let t = rec.begin();
-        rec.finish_traversal(t, 1);
-        assert_eq!(
-            rec.trace().expect("sampled").stage(TraceStage::BaseTraversal).distance_computations,
-            1
-        );
-    }
-
-    #[test]
-    fn delta_seeding_is_charged_to_the_delta_pass() {
-        let mut rec = TraceRecorder::new();
-        rec.arm(1);
-        let t = rec.begin();
-        rec.finish_seeding(t, 2);
-        rec.set_traversal_stage(TraceStage::DeltaTraversal);
-        let t = rec.begin();
-        rec.finish_seeding(t, 5);
-        let trace = rec.trace().expect("sampled");
-        assert_eq!(trace.stage(TraceStage::EntrySeeding).distance_computations, 2);
-        assert_eq!(trace.stage(TraceStage::DeltaTraversal).distance_computations, 5);
-    }
-
-    #[test]
     fn stage_names_are_stable_and_distinct() {
         let names: Vec<&str> = TraceStage::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(
@@ -329,7 +258,6 @@ mod tests {
                 "entry_seeding",
                 "base_traversal",
                 "delta_traversal",
-                "sorted_merge",
                 "tombstone_filter",
                 "exact_rerank"
             ]

@@ -38,7 +38,8 @@ pub enum ServeError {
     /// a frozen index has no mutation path.
     NotMutable,
     /// The index refused the mutation: the vector's dimension did not match
-    /// the index, or the sealed-successor handover could not be completed.
+    /// the index, a coordinate was NaN or infinite, or the sealed-successor
+    /// handover could not be completed.
     MutationRejected,
 }
 

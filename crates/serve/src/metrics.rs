@@ -53,7 +53,7 @@ pub struct ServerMetrics {
     distance_computations: Arc<Counter>,
     /// Jobs sitting in the admission queue, sampled at worker drain time.
     queue_depth: Arc<Gauge>,
-    /// Fraction of the serving corpus living in the delta graph.
+    /// Fraction of the serving corpus inserted since the last compaction.
     delta_fraction: Arc<Gauge>,
     /// Fraction of ids tombstoned on the serving index.
     tombstone_fraction: Arc<Gauge>,

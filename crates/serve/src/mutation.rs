@@ -31,7 +31,7 @@ use std::time::Instant;
 
 /// When the server folds the delta layer back into a fresh frozen base.
 ///
-/// The defaults track the validated operating envelope: merged (base+delta)
+/// The defaults track the validated operating envelope: mutated-index
 /// search recall is tested to stay within 1% of a full rebuild up to a 10%
 /// delta fraction, so compaction fires before the layer outgrows that bound.
 #[derive(Debug, Clone, Copy)]

@@ -134,7 +134,7 @@ impl Server {
     }
 
     /// Starts a server over a **mutable** index: queries are served from the
-    /// merged base+delta view, and [`submit_insert`](Self::submit_insert) /
+    /// graph the inserts joined, and [`submit_insert`](Self::submit_insert) /
     /// [`submit_delete`](Self::submit_delete) route through the same worker
     /// pool. After every applied mutation the worker checks `policy`; when a
     /// threshold trips, it compacts the delta into a fresh frozen base and
@@ -614,6 +614,23 @@ mod tests {
         assert_eq!(snap.deletes, 2);
         assert_eq!(snap.compactions, 0);
         assert_eq!(snap.failed, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn non_finite_inserts_are_typed_rejections() {
+        let index = small_mutable(120, 6);
+        let server =
+            Server::start_mutable(index, ServerConfig::with_workers(1), MutationPolicy::never());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut vector = [1.0f32; 8];
+            vector[2] = bad;
+            assert_eq!(server.insert_blocking(&vector).err(), Some(ServeError::MutationRejected));
+        }
+        assert_eq!(server.delta_stats().unwrap().delta_len, 0);
+        assert_eq!(server.metrics().snapshot().failed, 3);
+        // The server keeps taking well-formed inserts.
+        assert_eq!(server.insert_blocking(&[1.0; 8]).unwrap(), 120);
         server.shutdown();
     }
 

@@ -137,6 +137,8 @@ fn serve_mutation(
             job.slot.complete_mutation(id, applied, handle.generation(), latency);
             runtime.maybe_compact(handle, metrics);
         }
+        // A malformed vector (`DimMismatch`, `NonFinite`) or a handover that
+        // ran out of retries: a typed rejection, counted as failed.
         Err(_) => {
             metrics.record_failed();
             job.slot.complete_err(ServeError::MutationRejected, latency);

@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use nsg_core::context::{PinnedContext, SearchContext};
     pub use nsg_core::delta::{
-        CompactedPair, DeltaConfig, DeltaStats, MutableAnnIndex, MutableIndex, MutateError,
+        CompactedPair, DeltaStats, MutableAnnIndex, MutableIndex, MutateError,
     };
     pub use nsg_core::graph::{CompactGraph, DirectedGraph, GraphView};
     pub use nsg_core::index::{AnnIndex, SearchQuality, SearchRequest};

@@ -187,12 +187,11 @@ fn traced_search_into_is_allocation_free_after_warmup() {
 
 #[test]
 fn merged_delta_search_is_allocation_free_after_warmup() {
-    // The live-mutation form of the guard: the merged query path — Algorithm
-    // 1 on the frozen base, the same loop on the delta graph seeded from
-    // anchors and salted random entries, the sorted merge, and
-    // tombstone-filtered extraction — must be zero-allocation once warm,
-    // with a non-empty delta layer AND live tombstones on both sides.
-    // Mutations may allocate; the mutate-free query path must not.
+    // The live-mutation form of the guard: the mutated query path — one
+    // Algorithm 1 pass over the frozen CSR, the patched base lists and the
+    // inserted nodes, then tombstone-filtered extraction — must be
+    // zero-allocation once warm, with inserted rows AND live tombstones on
+    // both sides. Mutations may allocate; queries must not.
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let (base, queries) = base_and_queries(SyntheticKind::SiftLike, 1500, 40, 23);
     let base = Arc::new(base);
@@ -207,9 +206,8 @@ fn merged_delta_search_is_allocation_free_after_warmup() {
         },
     );
     let mutable = MutableIndex::new(index);
-    // Grow a real delta layer and tombstone base and delta ids alike, so the
-    // counted batch runs every phase: anchor seeding, the delta traversal,
-    // the merge, and the tombstone filter.
+    // Insert rows and tombstone base and inserted ids alike, so the counted
+    // batch walks patched and inserted lists and runs the tombstone filter.
     let extra = nsg::vectors::synthetic::uniform(120, base.dim(), 99);
     for i in 0..extra.len() {
         mutable.insert(extra.get(i)).unwrap();
@@ -223,10 +221,8 @@ fn merged_delta_search_is_allocation_free_after_warmup() {
 
     let request = SearchRequest::new(10).with_effort(100).with_stats();
     let mut ctx = mutable.new_context();
-    // Warm-up runs the full batch once: unlike the base-only path (whose
-    // buffer sizes depend only on the search params), the merged path's
-    // entry buffer grows with each query's anchor fan-out, so the high-water
-    // mark is only reached after every query has been seen.
+    // Warm-up runs the full batch once, so every buffer has reached its
+    // high-water mark before the counted batch.
     for q in 0..queries.len() {
         let hits = mutable.search_into(&mut ctx, &request, queries.get(q));
         assert_eq!(hits.len(), 10);
@@ -240,7 +236,7 @@ fn merged_delta_search_is_allocation_free_after_warmup() {
     });
     assert_eq!(
         allocations, 0,
-        "merged base+delta+tombstone search_into allocated {allocations} times across {} queries after warm-up",
+        "mutated (inserts + tombstones) search_into allocated {allocations} times across {} queries after warm-up",
         queries.len()
     );
 
